@@ -250,8 +250,7 @@ let race_arg =
     & info [ "race" ] ~docv:"LABELS"
         ~doc:"Comma-separated portfolio configurations raced per \
               attempt; first conclusive answer wins and the losers are \
-              cancelled.  Available: po-watched, to-watched, \
-              po-counters, to-counters.")
+              cancelled.  Available: po-watched, to-watched.")
 
 let retries_arg =
   Arg.(value & opt int 6

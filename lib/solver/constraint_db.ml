@@ -25,7 +25,6 @@ type t = {
                                 bit3 parked *)
   mutable frame : int array;
   mutable ue : int array;
-  mutable uu : int array;
   mutable fixed : int array;
   mutable w1 : int array;
   mutable w2 : int array;
@@ -56,7 +55,6 @@ let create () =
     flags = Array.make 64 0;
     frame = Array.make 64 0;
     ue = Array.make 64 0;
-    uu = Array.make 64 0;
     fixed = Array.make 64 0;
     w1 = Array.make 64 (-1);
     w2 = Array.make 64 (-1);
@@ -101,7 +99,6 @@ let ensure_slot db =
     db.flags <- grow_int db.flags need 0;
     db.frame <- grow_int db.frame need 0;
     db.ue <- grow_int db.ue need 0;
-    db.uu <- grow_int db.uu need 0;
     db.fixed <- grow_int db.fixed need 0;
     db.w1 <- grow_int db.w1 need (-1);
     db.w2 <- grow_int db.w2 need (-1);
@@ -132,7 +129,6 @@ let add db ~kind ~learned ~frame lits =
     lor (if learned then f_learned else 0);
   db.frame.(cid) <- frame;
   db.ue.(cid) <- 0;
-  db.uu.(cid) <- 0;
   db.fixed.(cid) <- 0;
   db.w1.(cid) <- -1;
   db.w2.(cid) <- -1;
@@ -173,16 +169,13 @@ let lits_list db cid =
 
 let copy_lits db cid = Array.sub db.lits db.start.(cid) db.len.(cid)
 let ue db cid = db.ue.(cid)
-let uu db cid = db.uu.(cid)
 let fixed db cid = db.fixed.(cid)
 
-let set_counters db cid ~ue ~uu ~fixed =
+let set_counters db cid ~ue ~fixed =
   db.ue.(cid) <- ue;
-  db.uu.(cid) <- uu;
   db.fixed.(cid) <- fixed
 
 let add_ue db cid d = db.ue.(cid) <- db.ue.(cid) + d
-let add_uu db cid d = db.uu.(cid) <- db.uu.(cid) + d
 let add_fixed db cid d = db.fixed.(cid) <- db.fixed.(cid) + d
 let w1 db cid = db.w1.(cid)
 let w2 db cid = db.w2.(cid)
@@ -191,7 +184,6 @@ let set_watches db cid a b =
   db.w1.(cid) <- a;
   db.w2.(cid) <- b
 
-let watched db cid = db.w1.(cid) >= 0
 let uq_mark db cid = db.uq_mark.(cid)
 let set_uq_mark db cid v = db.uq_mark.(cid) <- v
 let cq_mark db cid = db.cq_mark.(cid)
@@ -250,7 +242,6 @@ let compact db =
         db.flags.(nid) <- db.flags.(cid);
         db.frame.(nid) <- db.frame.(cid);
         db.ue.(nid) <- db.ue.(cid);
-        db.uu.(nid) <- db.uu.(cid);
         db.fixed.(nid) <- db.fixed.(cid);
         db.w1.(nid) <- db.w1.(cid);
         db.w2.(nid) <- db.w2.(cid);

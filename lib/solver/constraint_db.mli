@@ -54,27 +54,24 @@ val exists_lit : t -> int -> (int -> bool) -> bool
 val lits_list : t -> int -> int list
 val copy_lits : t -> int -> int array
 
-(* -- propagation counters (Counters engine) ------------------------ *)
+(* -- propagation counters (original clauses) ----------------------- *)
+
+(* Counters are kept for original (matrix) clauses only; learned
+   constraints leave them at 0. *)
 
 val ue : t -> int -> int (* unassigned existential literals *)
-val uu : t -> int -> int (* unassigned universal literals *)
-
-val fixed : t -> int -> int
-(* clauses: currently-true literals (satisfied when > 0); cubes:
-   currently-false literals (dead when > 0).  Left at 0 for
-   watch-maintained constraints. *)
-
-val set_counters : t -> int -> ue:int -> uu:int -> fixed:int -> unit
+val fixed : t -> int -> int (* currently-true literals (satisfied when > 0) *)
+val set_counters : t -> int -> ue:int -> fixed:int -> unit
 val add_ue : t -> int -> int -> unit
-val add_uu : t -> int -> int -> unit
 val add_fixed : t -> int -> int -> unit
 
-(* -- watched literals (Watched engine) ----------------------------- *)
+(* -- watched literals (learned constraints) ------------------------ *)
 
+(* The two watched literals; -1 until set (and for an empty
+   constraint, which has nothing to watch). *)
 val w1 : t -> int -> int
 val w2 : t -> int -> int
 val set_watches : t -> int -> int -> int -> unit
-val watched : t -> int -> bool (* watch slots set (w1 >= 0)? *)
 
 (* -- discovery-queue marks and parking ----------------------------- *)
 

@@ -46,7 +46,7 @@ let rescan_falsified s =
       Db.active db cid
       && (not (Db.is_cube db cid))
       &&
-      if Db.watched db cid then
+      if Db.learned db cid then
         let ue, _, fixed = S.scan_status s cid in
         fixed = 0 && ue = 0
       else Db.fixed db cid = 0 && Db.ue db cid = 0

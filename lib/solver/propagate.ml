@@ -1,6 +1,7 @@
-(* Propagation loop: drains the discovery queues filled by the eager
-   counter updates of {!State}, re-verifying each candidate (queues may
-   hold stale entries).  Order: conflicts, matrix-satisfied / true-cube
+(* Propagation loop: drains the discovery queues filled by {!State} —
+   eager counter updates for original clauses, watch visits for learned
+   constraints — re-verifying each candidate (queues may hold stale
+   entries).  Order: conflicts, matrix-satisfied / true-cube
    solutions, unit assignments (clauses and cubes, with the partial-order
    side conditions of Lemma 5 and its dual), then pure literals. *)
 
@@ -34,8 +35,8 @@ type outcome =
   | P_solution of source
   | P_none (* quiescent: decide next *)
 
-(* Watch-maintained constraints carry no counters: their re-verification
-   scans the assignment ([S.scan_status]).  When such an entry turns out
+(* Learned (watch-maintained) constraints carry no counters: their
+   re-verification scans the assignment ([S.scan_status]).  When such an entry turns out
    stale, its watches were left broken at push time, so the invariant is
    restored ([S.repair_watches]) — which may legitimately re-enqueue it
    elsewhere (a parked unit clause is pushed on unit_q, never back on
@@ -49,7 +50,7 @@ let pop_conflict s =
       let cid = Vec.pop s.S.conflict_q in
       Db.set_cq_mark db cid 0;
       if not (Db.active db cid && not (Db.is_cube db cid)) then go ()
-      else if Db.watched db cid then begin
+      else if Db.learned db cid then begin
         let ue, _, fixed = S.scan_status s cid in
         if fixed = 0 && ue = 0 then Some cid
         else begin
@@ -70,16 +71,14 @@ let pop_cube_solution s =
       let cid = Vec.pop s.S.cubesat_q in
       Db.set_cq_mark db cid 0;
       if not (Db.active db cid && Db.is_cube db cid) then go ()
-      else if Db.watched db cid then begin
+      else
+        (* cubes are always learned *)
         let _, uu, fixed = S.scan_status s cid in
         if fixed = 0 && uu = 0 then Some cid
         else begin
           S.repair_watches s cid;
           go ()
         end
-      end
-      else if Db.fixed db cid = 0 && Db.uu db cid = 0 then Some cid
-      else go ()
   in
   go ()
 
@@ -143,7 +142,7 @@ let pop_unit s =
       let fired =
         Db.active db cid
         &&
-        if Db.watched db cid then begin
+        if Db.learned db cid then begin
           let ue, uu, fixed = S.scan_status s cid in
           if fixed <> 0 then begin
             S.repair_watches s cid;
@@ -177,11 +176,8 @@ let pop_unit s =
                          false))
         end
         else
-          Db.fixed db cid = 0
-          &&
-          match Db.kind db cid with
-          | Clause_c -> Db.ue db cid = 1 && try_unit_clause s cid
-          | Cube_c -> Db.uu db cid = 1 && try_unit_cube s cid
+          (* an original, hence a clause *)
+          Db.fixed db cid = 0 && Db.ue db cid = 1 && try_unit_clause s cid
       in
       fired || go ()
   in

@@ -4,14 +4,6 @@ type kind =
   | Clause_c (* disjunction: element of the matrix or learned nogood *)
   | Cube_c (* conjunction: learned good *)
 
-(* How constraint state is discovered during search (see State):
-   [Counters] maintains eager per-constraint counters on every
-   assign/unassign; [Watched] keeps the counters for original
-   constraints (purity needs them) but tracks learned constraints with
-   two watched literals, making backtrack O(1) per literal on the
-   learned database. *)
-type prop_engine = Counters | Watched
-
 type antecedent =
   | Decision (* branching choice, first branch *)
   | Flipped (* branching choice, second branch after a chronological flip *)
@@ -134,7 +126,6 @@ type search = {
   learning : bool; (* nogood + good learning with backjumping *)
   pure_literals : bool;
   heuristic : heuristic_mode;
-  propagation : prop_engine;
   debug_checks : bool;
       (* assert propagation completeness at every fixpoint: no active
          constraint may be undetectedly conflicting, unit, or (for
@@ -206,7 +197,6 @@ let default_search =
     learning = true;
     pure_literals = true;
     heuristic = Partial_order;
-    propagation = Watched;
     debug_checks = false;
     rescale_interval = 256;
     restarts = false;
@@ -247,7 +237,6 @@ let with_hints f c = { c with hints = f c.hints }
 let with_learning v = with_search (fun s -> { s with learning = v })
 let with_pure_literals v = with_search (fun s -> { s with pure_literals = v })
 let with_heuristic v = with_search (fun s -> { s with heuristic = v })
-let with_propagation v = with_search (fun s -> { s with propagation = v })
 let with_debug_checks v = with_search (fun s -> { s with debug_checks = v })
 
 let with_rescale_interval v =

@@ -1,5 +1,6 @@
 (* Mutable search state: assignment trail, constraint database with
-   eager occurrence counters, purity counters, branching availability.
+   eager occurrence counters for the matrix and watched literals for
+   learned constraints, purity counters, branching availability.
 
    Literals are raw ints (see {!Qbf_core.Lit}); [2*v] is the positive
    literal of variable [v].
@@ -10,22 +11,18 @@
    and owns the compaction protocol that keeps them in sync when the
    database drops constraints ({!compact_db}).
 
-   Counter scheme: every constraint keeps the number of its unassigned
-   existential ([ue]) and universal ([uu]) literals plus a [fixed] counter
-   (true literals for clauses, false literals for cubes).  Then, with the
-   side conditions of Lemmas 4/5 checked lazily:
-     clause conflict    <-> fixed = 0 && ue = 0
-     clause unit        <-> fixed = 0 && ue = 1  (+ scope condition)
-     cube solution      <-> fixed = 0 && uu = 0
-     cube unit          <-> fixed = 0 && uu = 1  (+ scope condition)
-   Constraints whose counters reach these states are pushed on discovery
+   Counter scheme (original constraints, which are all clauses): every
+   clause keeps the number of its unassigned existential literals ([ue])
+   and of its true literals ([fixed]).  Then, with the side condition of
+   Lemma 5 checked lazily:
+     conflict <-> fixed = 0 && ue = 0
+     unit     <-> fixed = 0 && ue = 1  (+ scope condition)
+   Clauses whose counters reach these states are pushed on discovery
    queues which the propagation loop re-verifies (they may be stale after
-   backtracking, which clears the queues).
+   backtracking, which clears the queues).  Purity needs the exact
+   [pos_unsat] and [unsat_originals] transitions this scheme gives.
 
-   Under [config.search.propagation = Watched] the counter scheme above
-   is kept for *original* constraints only (purity needs exact
-   [pos_unsat] and [unsat_originals] transitions) while learned
-   constraints — the unbounded part of the database — are maintained
+   Learned constraints — the unbounded part of the database — are maintained
    lazily with two watched literals: they are absent from the occurrence
    lists, so [unassign] never touches them and [assign] visits only the
    watch lists of the literal being falsified (truthified for cubes). *)
@@ -55,10 +52,8 @@ type t = {
   stats : stats;
   db : Db.t; (* all constraints, originals and learned *)
   mutable occ : int Vec.t array;
-      (* per literal: ids of counter-maintained constraints containing it
-         (all constraints under [Counters]; originals only under
-         [Watched]) *)
-  use_watches : bool; (* config.search.propagation = Watched, cached *)
+      (* per literal: ids of the original (counter-maintained)
+         constraints containing it *)
   mutable watch_cl : int Vec.t array;
       (* per literal: watch-maintained clauses watching it, visited when
          the literal becomes false *)
@@ -177,25 +172,21 @@ let push_cubesat s cid =
 (* --- purity bookkeeping ------------------------------------------------ *)
 
 (* [pos_unsat] counts *original* clauses only: pure literals are
-   computed on the matrix (as in QuBE), which is also what lets the
-   watched engine keep learned constraints out of the counters. *)
+   computed on the matrix (as in QuBE), which is also what lets learned
+   constraints stay out of the counters. *)
 
 let clause_now_satisfied s cid =
   (* fixed went 0 -> 1: the clause leaves the "unsatisfied" pool. *)
-  if not (Db.learned s.db cid) then begin
-    s.unsat_originals <- s.unsat_originals - 1;
-    Db.iter_lits s.db cid (fun m ->
-        s.pos_unsat.(m) <- s.pos_unsat.(m) - 1;
-        if s.pos_unsat.(m) = 0 && s.config.search.pure_literals then
-          Vec.push s.pure_q m)
-  end
+  s.unsat_originals <- s.unsat_originals - 1;
+  Db.iter_lits s.db cid (fun m ->
+      s.pos_unsat.(m) <- s.pos_unsat.(m) - 1;
+      if s.pos_unsat.(m) = 0 && s.config.search.pure_literals then
+        Vec.push s.pure_q m)
 
 let clause_now_unsatisfied s cid =
   (* fixed went 1 -> 0 on backtrack. *)
-  if not (Db.learned s.db cid) then begin
-    s.unsat_originals <- s.unsat_originals + 1;
-    Db.iter_lits s.db cid (fun m -> s.pos_unsat.(m) <- s.pos_unsat.(m) + 1)
-  end
+  s.unsat_originals <- s.unsat_originals + 1;
+  Db.iter_lits s.db cid (fun m -> s.pos_unsat.(m) <- s.pos_unsat.(m) + 1)
 
 (* --- constraint touch on assignment ------------------------------------ *)
 
@@ -205,13 +196,7 @@ let check_clause_state s cid =
     if ue = 0 then push_conflict s cid
     else if ue = 1 then push_unit s cid
 
-let check_cube_state s cid =
-  if Db.fixed s.db cid = 0 then
-    let uu = Db.uu s.db cid in
-    if uu = 0 then push_cubesat s cid
-    else if uu = 1 then push_unit s cid
-
-(* --- watched literals (learned constraints under Watched) --------------- *)
+(* --- watched literals (learned constraints) ----------------------------- *)
 
 (* Each watch-maintained constraint watches two distinct *structurally
    compatible* literals: for a clause both existential, or a universal
@@ -226,8 +211,7 @@ let check_cube_state s cid =
    are candidates that propagation re-verifies, exactly as in the
    counter scheme: a missed wake-up costs propagations, never
    correctness (learned constraints are Q-consequences, so ignoring one
-   only loses pruning; original-constraint discovery is eager in both
-   engines). *)
+   only loses pruning; original-constraint discovery is eager). *)
 
 let watch_list s kind m =
   match kind with Clause_c -> s.watch_cl.(m) | Cube_c -> s.watch_cu.(m)
@@ -452,34 +436,27 @@ let find_missed_discovery s =
   done;
   !missed
 
-(* [m] (a literal of constraint [cid]) was just assigned; [m_true] says
-   whether it became true. *)
+(* [m] (a literal of original clause [cid]) was just assigned; [m_true]
+   says whether it became true. *)
 let touch_assign s cid m m_true =
   let db = s.db in
   if Db.active db cid then begin
-    if s.is_exist.(var m) then Db.add_ue db cid (-1) else Db.add_uu db cid (-1);
-    if not (Db.is_cube db cid) then begin
-      if m_true then begin
-        Db.add_fixed db cid 1;
-        if Db.fixed db cid = 1 then clause_now_satisfied s cid
-      end
-      else check_clause_state s cid
+    if s.is_exist.(var m) then Db.add_ue db cid (-1);
+    if m_true then begin
+      Db.add_fixed db cid 1;
+      if Db.fixed db cid = 1 then clause_now_satisfied s cid
     end
-    else if m_true then check_cube_state s cid
-    else Db.add_fixed db cid 1
+    else check_clause_state s cid
   end
 
 let touch_unassign s cid m m_was_true =
   let db = s.db in
   if Db.active db cid then begin
-    if s.is_exist.(var m) then Db.add_ue db cid 1 else Db.add_uu db cid 1;
-    if not (Db.is_cube db cid) then begin
-      if m_was_true then begin
-        Db.add_fixed db cid (-1);
-        if Db.fixed db cid = 0 then clause_now_unsatisfied s cid
-      end
+    if s.is_exist.(var m) then Db.add_ue db cid 1;
+    if m_was_true then begin
+      Db.add_fixed db cid (-1);
+      if Db.fixed db cid = 0 then clause_now_unsatisfied s cid
     end
-    else if not m_was_true then Db.add_fixed db cid (-1)
   end
 
 (* --- assignment and backtracking --------------------------------------- *)
@@ -497,10 +474,8 @@ let assign s l ante =
   s.block_unassigned.(b) <- s.block_unassigned.(b) - 1;
   Vec.iter (fun cid -> touch_assign s cid l true) s.occ.(l);
   Vec.iter (fun cid -> touch_assign s cid (neg l) false) s.occ.(neg l);
-  if s.use_watches then begin
-    visit_watchers s Clause_c (neg l);
-    visit_watchers s Cube_c l
-  end
+  visit_watchers s Clause_c (neg l);
+  visit_watchers s Cube_c l
 
 let unassign s l =
   let v = var l in
@@ -530,7 +505,7 @@ let clear_queues s =
    literal is undone, a queued announcement lost to [clear_queues].
    Constraints that regain a compatible eligible pair leave the
    registry; the rest are re-announced on the fresh wave and stay
-   parked.  (The counter engine gets the same effect from its eager
+   parked.  (Original constraints get the same effect from the eager
    occ-list walks in [unassign].) *)
 let repair_parked s =
   let i = ref 0 in
@@ -557,7 +532,7 @@ let backtrack s level =
   assert (level >= 0 && level <= current_level s);
   if level < current_level s then begin
     (* the backtrack span isolates the unassign bookkeeping — the
-       counter engine's occ-list walks vs the watched engine's parked
+       originals' occ-list walks and the learned constraints' parked
        repair — from the analysis it nests inside *)
     let o = s.obs in
     if o.Obs.profile_on then Profile.enter o.Obs.profile Profile.Backtrack;
@@ -569,7 +544,7 @@ let backtrack s level =
     Vec.shrink s.trail_lim level;
     Vec.shrink s.dec_flipped level;
     clear_queues s;
-    if s.use_watches then repair_parked s;
+    repair_parked s;
     if o.Obs.profile_on then Profile.leave o.Obs.profile Profile.Backtrack
   end
 
@@ -593,9 +568,10 @@ let new_decision s l ~flipped =
 (* --- constraint creation ----------------------------------------------- *)
 
 (* Add a constraint over literal array [lits] (sorted, no duplicate
-   variables), computing its counters against the current assignment and
-   flagging it on the discovery queues if it is already unit, conflicting
-   or satisfied-as-a-cube.  Returns its id.  [frame] defaults to the
+   variables) and flag it on the discovery queues if it is already unit,
+   conflicting or satisfied-as-a-cube.  An original constraint (always a
+   clause) gets its counters against the current assignment, a learned
+   one its watches.  Returns its id.  [frame] defaults to the
    current session frame; Analyze passes the maximum antecedent frame of
    a learned constraint's derivation, and [lbd] the quantified
    LBD analog it computed at learning time. *)
@@ -611,33 +587,26 @@ let add_constraint s kind ~learned ?frame ?(lbd = 0) lits =
       Db.set_pid s.db cid pid;
       Proof.input_clause p ~pid (Array.to_list lits)
   | _ -> ());
-  let watch_only = s.use_watches && learned in
-  let ue = ref 0 and uu = ref 0 and fixed = ref 0 in
-  Array.iter
-    (fun m ->
-      s.counter.(m) <- s.counter.(m) + 1;
-      if not watch_only then begin
+  Array.iter (fun m -> s.counter.(m) <- s.counter.(m) + 1) lits;
+  if learned then init_watches s cid
+  else begin
+    let ue = ref 0 and fixed = ref 0 in
+    Array.iter
+      (fun m ->
         Vec.push s.occ.(m) cid;
         match lit_value s m with
-        | -1 -> if s.is_exist.(var m) then incr ue else incr uu
-        | 1 -> if kind = Clause_c then incr fixed
-        | _ -> if kind = Cube_c then incr fixed
-      end)
-    lits;
-  if not watch_only then Db.set_counters s.db cid ~ue:!ue ~uu:!uu ~fixed:!fixed;
-  if watch_only then init_watches s cid
-  else
-    (match kind with
-    | Clause_c ->
-        if !fixed = 0 then begin
-          if not learned then begin
-            s.unsat_originals <- s.unsat_originals + 1;
-            Array.iter (fun m -> s.pos_unsat.(m) <- s.pos_unsat.(m) + 1) lits
-          end;
-          check_clause_state s cid
-        end
-    | Cube_c -> check_cube_state s cid);
-  if not learned then s.num_original <- s.num_original + 1;
+        | -1 -> if s.is_exist.(var m) then incr ue
+        | 1 -> incr fixed
+        | _ -> ())
+      lits;
+    Db.set_counters s.db cid ~ue:!ue ~fixed:!fixed;
+    if !fixed = 0 then begin
+      s.unsat_originals <- s.unsat_originals + 1;
+      Array.iter (fun m -> s.pos_unsat.(m) <- s.pos_unsat.(m) + 1) lits;
+      check_clause_state s cid
+    end;
+    s.num_original <- s.num_original + 1
+  end;
   cid
 
 (* --- availability (top variables of the residual QBF) ------------------ *)
@@ -729,7 +698,6 @@ let create formula config =
       stats = empty_stats ();
       db = Db.create ();
       occ = Array.init (2 * n) (fun _ -> Vec.create (-1));
-      use_watches = config.search.propagation = Watched;
       watch_cl = Array.init (2 * n) (fun _ -> Vec.create (-1));
       watch_cu = Array.init (2 * n) (fun _ -> Vec.create (-1));
       qepoch = 1;
@@ -800,11 +768,7 @@ let create formula config =
 let drop_from_counters s cid =
   Db.deactivate s.db cid;
   Db.iter_lits s.db cid (fun m -> s.counter.(m) <- s.counter.(m) - 1);
-  if
-    (not (Db.is_cube s.db cid))
-    && (not (Db.learned s.db cid))
-    && Db.fixed s.db cid = 0
-  then
+  if (not (Db.learned s.db cid)) && Db.fixed s.db cid = 0 then
     Db.iter_lits s.db cid (fun m ->
         s.pos_unsat.(m) <- s.pos_unsat.(m) - 1;
         if s.pos_unsat.(m) = 0 && s.config.search.pure_literals then
@@ -832,7 +796,7 @@ let retract_constraint s cid =
   if Db.active s.db cid then begin
     if not (Db.learned s.db cid) then begin
       s.num_original <- s.num_original - 1;
-      if (not (Db.is_cube s.db cid)) && Db.fixed s.db cid = 0 then
+      if Db.fixed s.db cid = 0 then
         s.unsat_originals <- s.unsat_originals - 1
     end;
     drop_from_counters s cid;
@@ -929,7 +893,7 @@ let clear_trail s =
   (* with an empty assignment almost every parked constraint regains an
      eligible pair, so the registry drains here instead of carrying
      stale entries across session mutations *)
-  if s.use_watches then repair_parked s
+  repair_parked s
 
 (* Retract every active constraint whose frame exceeds [frame]: the
    originals of popped frames and every learned constraint whose
@@ -965,8 +929,7 @@ let invalidate_cubes s =
 let requeue_all s =
   for cid = 0 to Db.size s.db - 1 do
     if Db.active s.db cid then
-      if Db.watched s.db cid then classify_and_queue s cid
-      else if Db.is_cube s.db cid then check_cube_state s cid
+      if Db.learned s.db cid then classify_and_queue s cid
       else check_clause_state s cid
   done
 
@@ -1063,7 +1026,6 @@ let attach_proof s p =
     if
       Db.active s.db cid
       && (not (Db.learned s.db cid))
-      && (not (Db.is_cube s.db cid))
       && Db.pid s.db cid = 0
     then begin
       let pid = Proof.fresh_pid p in

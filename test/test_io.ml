@@ -107,15 +107,24 @@ let test_print_requires_prenex () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument on non-prenex print"
 
+(* The paper's formula (1) and a diameter QBF, whose quantifier tree is
+   deeper than the random ones of the round-trip properties. *)
 let test_file_roundtrip () =
-  let f = Util.paper_formula_1 () in
-  let path = Filename.temp_file "qbf" ".nqdimacs" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Qbf_io.Nqdimacs.write_file path f;
-      let f' = Qbf_io.Nqdimacs.parse_file path in
-      Alcotest.(check bool) "file roundtrip" true (same_formula f f'))
+  List.iter
+    (fun (name, f) ->
+      let path = Filename.temp_file "qbf" ".nqdimacs" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Qbf_io.Nqdimacs.write_file path f;
+          let f' = Qbf_io.Nqdimacs.parse_file path in
+          Alcotest.(check bool) (name ^ " file roundtrip") true
+            (same_formula f f')))
+    [
+      ("formula (1)", Util.paper_formula_1 ());
+      ( "counter2 phi_1",
+        Qbf_models.Diameter.phi (Qbf_models.Families.counter ~bits:2) ~n:1 );
+    ]
 
 let suite =
   [

@@ -160,6 +160,8 @@ let test_phi_truth_pattern () =
       Qbf_models.Families.ring ~gates:3;
       Qbf_models.Families.semaphore ~procs:2;
       Qbf_models.Families.dme ~cells:2;
+      Qbf_models.Families.shift ~bits:3;
+      Qbf_models.Families.shift ~bits:5;
     ]
   in
   List.iter
@@ -199,9 +201,12 @@ let test_diameter_compute () =
       Qbf_models.Families.counter ~bits:3;
       Qbf_models.Families.ring ~gates:4;
       Qbf_models.Families.semaphore ~procs:2;
+      Qbf_models.Families.semaphore ~procs:3;
       Qbf_models.Families.dme ~cells:3;
       Qbf_models.Families.gray ~bits:3;
+      Qbf_models.Families.shift ~bits:3;
       Qbf_models.Families.shift ~bits:4;
+      Qbf_models.Families.shift ~bits:5;
     ]
 
 (* Incremental sessions and the per-bound rebuild must agree with each
