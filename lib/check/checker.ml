@@ -43,13 +43,11 @@
 
 open Qbf_core
 
-type vinfo = { exist : bool; d : int; f : int }
-
 type cinfo = {
   term : bool;
   input : bool;
   mutable alive : bool;
-  lits : int list; (* sorted, duplicate-free DIMACS *)
+  lits : int array; (* sorted, duplicate-free DIMACS *)
 }
 
 type verdict = { conclusions : bool list; steps : int }
@@ -59,32 +57,71 @@ exception Fail of string
 
 let failf fmt = Printf.ksprintf (fun m -> raise (Fail m)) fmt
 
+(* Variables live in arrays indexed by DIMACS id (slot 0 unused), sized
+   from the formula in formula mode and grown on declaration in trust
+   mode.  The working sets of a resolution chain and an axiom's literal
+   choice reuse the [ws]/[mg]/[pr] arrays across records through stamps
+   (the seen[] idiom): a slot belongs to the current record only if it
+   carries the current stamp, so nothing is cleared between records. *)
 type st = {
-  vars : (int, vinfo) Hashtbl.t; (* DIMACS var -> latest declaration *)
+  mutable quant : Bytes.t; (* '\000' undeclared, 'e' or 'a' *)
+  mutable dt : int array; (* DFS discovery time *)
+  mutable ft : int array; (* DFS finish time *)
+  mutable ws : int array; (* 2 * stamp + (literal > 0): in the working set *)
+  mutable mg : int array; (* stamp: merged (both polarities) *)
+  mutable pr : int array; (* stamp: a pair of the current antecedent *)
+  mutable members : int array; (* working-set variables, [nmembers] used *)
+  mutable nmembers : int;
+  mutable stamp : int;
   cons : (int, cinfo) Hashtbl.t; (* proof id -> constraint *)
-  alive_inputs : (int, int list) Hashtbl.t; (* pid -> lits, for coverage *)
+  alive_inputs : (int, int array) Hashtbl.t; (* pid -> lits, for coverage *)
   alive_terms : (int, unit) Hashtbl.t; (* expired wholesale on growth *)
   mutable steps : int;
   mutable concl_rev : bool list;
   formula : Formula.t option;
-  fkeys : (int list, unit) Hashtbl.t; (* non-tautological matrix clauses *)
+  fkeys : (int array, unit) Hashtbl.t; (* non-tautological matrix clauses *)
 }
 
-let clause_key c =
-  List.sort_uniq compare (List.map Lit.to_dimacs (Clause.to_list c))
+(* Sorted, duplicate-free array of a literal list. *)
+let lit_set lits = Array.of_list (List.sort_uniq Int.compare lits)
+
+let clause_key c = lit_set (List.map Lit.to_dimacs (Clause.to_list c))
+
+let resize st cap =
+  let grow a = Array.append a (Array.make (cap - Array.length a) 0) in
+  let q = Bytes.make cap '\000' in
+  Bytes.blit st.quant 0 q 0 (Bytes.length st.quant);
+  st.quant <- q;
+  st.dt <- grow st.dt;
+  st.ft <- grow st.ft;
+  st.ws <- grow st.ws;
+  st.mg <- grow st.mg;
+  st.pr <- grow st.pr;
+  st.members <- grow st.members
 
 let init formula =
   let fkeys = Hashtbl.create 256 in
-  (match formula with
-  | Some f ->
-      List.iter
-        (fun c ->
-          if not (Clause.is_tautology c) then
-            Hashtbl.replace fkeys (clause_key c) ())
-        (Formula.matrix f)
-  | None -> ());
+  let cap =
+    match formula with
+    | Some f ->
+        List.iter
+          (fun c ->
+            if not (Clause.is_tautology c) then
+              Hashtbl.replace fkeys (clause_key c) ())
+          (Formula.matrix f);
+        Formula.nvars f + 1
+    | None -> 64
+  in
   {
-    vars = Hashtbl.create 256;
+    quant = Bytes.make cap '\000';
+    dt = Array.make cap 0;
+    ft = Array.make cap 0;
+    ws = Array.make cap 0;
+    mg = Array.make cap 0;
+    pr = Array.make cap 0;
+    members = Array.make cap 0;
+    nmembers = 0;
+    stamp = 0;
     cons = Hashtbl.create 1024;
     alive_inputs = Hashtbl.create 256;
     alive_terms = Hashtbl.create 64;
@@ -94,15 +131,21 @@ let init formula =
     fkeys;
   }
 
-let vinfo st v =
-  match Hashtbl.find_opt st.vars v with
-  | Some i -> i
-  | None -> failf "variable %d not declared" v
+let fresh_stamp st =
+  st.stamp <- st.stamp + 1;
+  st.stamp
+
+(* The quantifier of a declared variable: [true] for existential. *)
+let exist st v =
+  if v <= 0 || v >= Bytes.length st.quant then
+    failf "variable %d not declared" v;
+  match Bytes.get st.quant v with
+  | 'e' -> true
+  | 'a' -> false
+  | _ -> failf "variable %d not declared" v
 
 (* z ≺ z' through DFS timestamps, eq. 13 of the paper. *)
-let precedes st v v' =
-  let a = vinfo st v and b = vinfo st v' in
-  a.d < b.d && b.d <= a.f
+let precedes st v v' = st.dt.(v) < st.dt.(v') && st.dt.(v') <= st.ft.(v)
 
 let constr st pid =
   match Hashtbl.find_opt st.cons pid with
@@ -114,21 +157,65 @@ let alive_constr st pid =
   if not c.alive then failf "constraint %d has been retracted" pid;
   c
 
-(* Universal reduction of a clause / existential reduction of a term:
-   drop each reducible-kind literal that precedes no kept-kind literal
-   of the set.  One pass suffices: blockers are kept-kind and never
-   removed. *)
-let reduce st ~term lits =
+(* Index of the first element of [ds.(0 .. n-1)] (sorted) above [x]. *)
+let first_above ds n x =
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if ds.(mid) > x then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+(* Working-set slots for stamp [s]: [ws.(v)] encodes the one polarity
+   kept for [v]; merged variables expand to both in the resolvent. *)
+let enc s l = (s lsl 1) lor if l > 0 then 1 else 0
+let in_ws st s v = st.ws.(v) lsr 1 = s
+let lit_of st v = if st.ws.(v) land 1 = 1 then v else -v
+
+let insert st s v l =
+  st.ws.(v) <- enc s l;
+  st.members.(st.nmembers) <- v;
+  st.nmembers <- st.nmembers + 1
+
+(* Universal reduction of a clause / existential reduction of a term on
+   the working set: drop each reducible-kind variable that precedes no
+   kept-kind variable of the set.  By eq. 13, [v] precedes a kept-kind
+   [w] iff d(v) < d(w) <= f(v), so one binary search over the sorted
+   kept-kind discovery times decides each variable.  Blockers are
+   kept-kind and never removed, so one pass suffices.  Also compacts
+   [members], dropping slots whose variable left the set. *)
+let renorm st ~term s =
   let kept_exist = not term in
-  let keep l =
-    (vinfo st (abs l)).exist = kept_exist
-    || List.exists
-         (fun l' ->
-           (vinfo st (abs l')).exist = kept_exist
-           && precedes st (abs l) (abs l'))
-         lits
-  in
-  List.filter keep lits
+  let n = ref 0 and ds = ref [] in
+  for i = 0 to st.nmembers - 1 do
+    let v = st.members.(i) in
+    if in_ws st s v then begin
+      st.members.(!n) <- v;
+      incr n;
+      if exist st v = kept_exist then ds := st.dt.(v) :: !ds
+    end
+  done;
+  let ds = Array.of_list !ds in
+  Array.stable_sort Int.compare ds;
+  let nk = Array.length ds and m = ref 0 in
+  for i = 0 to !n - 1 do
+    let v = st.members.(i) in
+    let keep =
+      exist st v = kept_exist
+      ||
+      let j = first_above ds nk st.dt.(v) in
+      j < nk && ds.(j) <= st.ft.(v)
+    in
+    if keep then begin
+      st.members.(!m) <- v;
+      incr m
+    end
+    else begin
+      st.ws.(v) <- 0;
+      st.mg.(v) <- 0
+    end
+  done;
+  st.nmembers <- !m
 
 (* Replay a resolution chain and return the sorted resolvent.
 
@@ -147,92 +234,78 @@ let reduce st ~term lits =
    restriction is re-checked; resolving on a merged variable remains
    forbidden. *)
 let resolve_chain st ~term ~first ~chain =
-  let tbl = Hashtbl.create 32 in
-  (* var -> one polarity; merged vars expand to both in [current] *)
-  let merged = Hashtbl.create 4 in
-  let pairs_of lits =
-    let seen = Hashtbl.create 8 and p = Hashtbl.create 2 in
-    List.iter
+  let s = fresh_stamp st in
+  st.nmembers <- 0;
+  (* Mark the variables [c] carries with both polarities; returns the
+     stamp [pr] holds for them. *)
+  let mark_pairs c =
+    let once = fresh_stamp st in
+    let twice = fresh_stamp st in
+    Array.iter
       (fun l ->
         let v = abs l in
-        if Hashtbl.mem seen v then Hashtbl.replace p v ()
-        else Hashtbl.replace seen v ())
-      lits;
-    p
+        st.pr.(v) <- (if st.pr.(v) = once then twice else once))
+      c.lits;
+    twice
   in
-  let add ?pivot ~pairs l =
-    let v = abs l in
-    if Hashtbl.mem pairs v then begin
-      if (vinfo st v).exist <> term then
-        failf "tautological resolvent on variable %d" v;
-      if not (Hashtbl.mem tbl v) then Hashtbl.replace tbl v l;
-      Hashtbl.replace merged v ()
-    end
-    else
-      match Hashtbl.find_opt tbl v with
-      | Some l' when l' = l -> ()
-      | Some _ -> (
-          if not (Hashtbl.mem merged v) then
-            match pivot with
-            | Some pv when (vinfo st v).exist = term && precedes st pv v ->
-                Hashtbl.replace merged v ()
-            | _ -> failf "tautological resolvent on variable %d" v)
-      | None -> Hashtbl.replace tbl v l
-  in
-  let current () =
-    Hashtbl.fold
-      (fun v l acc ->
-        if Hashtbl.mem merged v then l :: -l :: acc else l :: acc)
-      tbl []
-  in
-  let renorm () =
-    let r = reduce st ~term (current ()) in
-    Hashtbl.reset tbl;
-    List.iter
+  (* [pivot] is 0 for the starting antecedent *)
+  let add_all ~pivot ~ps c =
+    Array.iter
       (fun l ->
-        if not (Hashtbl.mem tbl (abs l)) then Hashtbl.replace tbl (abs l) l)
-      r;
-    let dead =
-      Hashtbl.fold
-        (fun v () acc -> if Hashtbl.mem tbl v then acc else v :: acc)
-        merged []
-    in
-    List.iter (Hashtbl.remove merged) dead
+        let v = abs l in
+        if v = pivot then ()
+        else if st.pr.(v) = ps then begin
+          if exist st v <> term then
+            failf "tautological resolvent on variable %d" v;
+          if not (in_ws st s v) then insert st s v l;
+          st.mg.(v) <- s
+        end
+        else if not (in_ws st s v) then insert st s v l
+        else if lit_of st v <> l && st.mg.(v) <> s then
+          if pivot > 0 && exist st v = term && precedes st pivot v then
+            st.mg.(v) <- s
+          else failf "tautological resolvent on variable %d" v)
+      c.lits
   in
   let c0 = alive_constr st first in
-  if c0.term <> term then failf "starting antecedent %d has the wrong kind" first;
-  List.iter (add ~pairs:(pairs_of c0.lits)) c0.lits;
-  renorm ();
+  if c0.term <> term then
+    failf "starting antecedent %d has the wrong kind" first;
+  add_all ~pivot:0 ~ps:(mark_pairs c0) c0;
+  renorm st ~term s;
   List.iter
     (fun (pvar, ant) ->
-      if (vinfo st pvar).exist = term then
+      if exist st pvar = term then
         failf "pivot %d has the wrong quantifier for %s resolution" pvar
           (if term then "term" else "clause");
       let a = alive_constr st ant in
       if a.term <> term then failf "antecedent %d has the wrong kind" ant;
-      let l =
-        match Hashtbl.find_opt tbl pvar with
-        | Some l -> l
-        | None -> failf "pivot %d is not in the working set" pvar
-      in
-      if Hashtbl.mem merged pvar then
-        failf "pivot %d is a merged literal" pvar;
-      let pairs = pairs_of a.lits in
-      if Hashtbl.mem pairs pvar then
+      if not (in_ws st s pvar) then
+        failf "pivot %d is not in the working set" pvar;
+      let l = lit_of st pvar in
+      if st.mg.(pvar) = s then failf "pivot %d is a merged literal" pvar;
+      let ps = mark_pairs a in
+      if st.pr.(pvar) = ps then
         failf "antecedent %d carries pivot %d as a merged pair" ant pvar;
-      if not (List.mem (-l) a.lits) then
+      if not (Array.mem (-l) a.lits) then
         failf "antecedent %d lacks the opposite literal of pivot %d" ant pvar;
-      Hashtbl.remove tbl pvar;
-      List.iter (fun m -> if abs m <> pvar then add ~pivot:pvar ~pairs m) a.lits;
-      renorm ())
+      st.ws.(pvar) <- 0;
+      add_all ~pivot:pvar ~ps a;
+      renorm st ~term s)
     chain;
-  List.sort compare (current ())
+  let out = ref [] in
+  for i = 0 to st.nmembers - 1 do
+    let v = st.members.(i) in
+    let l = lit_of st v in
+    out := l :: !out;
+    if st.mg.(v) = s then out := -l :: !out
+  done;
+  lit_set !out
 
 let register st pid ~term ~input lits =
   if pid <= 0 then failf "invalid constraint id %d" pid;
   if Hashtbl.mem st.cons pid then failf "duplicate constraint id %d" pid;
-  List.iter (fun l -> ignore (vinfo st (abs l))) lits;
-  let lits = List.sort_uniq compare lits in
+  List.iter (fun l -> ignore (exist st (abs l))) lits;
+  let lits = lit_set lits in
   Hashtbl.replace st.cons pid { term; input; alive = true; lits };
   if input then Hashtbl.replace st.alive_inputs pid lits;
   if term then Hashtbl.replace st.alive_terms pid ();
@@ -253,32 +326,27 @@ let check_input st pid lits =
   expire_terms st
 
 let check_axiom st pid lits =
-  let chosen = Hashtbl.create 32 in
+  let s = fresh_stamp st in
   List.iter
     (fun l ->
-      ignore (vinfo st (abs l));
-      match Hashtbl.find_opt chosen (abs l) with
-      | Some l' when l' <> l ->
-          failf "axiom term is inconsistent on variable %d" (abs l)
-      | _ -> Hashtbl.replace chosen (abs l) l)
+      let v = abs l in
+      ignore (exist st v);
+      if in_ws st s v && st.ws.(v) <> enc s l then
+        failf "axiom term is inconsistent on variable %d" v;
+      st.ws.(v) <- enc s l)
     lits;
   Hashtbl.iter
     (fun ipid clits ->
-      if
-        not
-          (List.exists
-             (fun m -> Hashtbl.find_opt chosen (abs m) = Some m)
-             clits)
-      then failf "axiom term does not cover input clause %d" ipid)
+      if not (Array.exists (fun m -> st.ws.(abs m) = enc s m) clits) then
+        failf "axiom term does not cover input clause %d" ipid)
     st.alive_inputs;
   ignore (register st pid ~term:true ~input:false lits)
 
 let check_step st ~term pid ~first ~chain lits =
   let derived = resolve_chain st ~term ~first ~chain in
-  let recorded = List.sort_uniq compare lits in
-  if derived <> recorded then
+  if derived <> lit_set lits then
     failf "resolvent of constraint %d does not match the derivation" pid;
-  ignore (register st pid ~term ~input:false recorded)
+  ignore (register st pid ~term ~input:false lits)
 
 let check_retract st pid =
   (* Retraction only ever weakens the prover, so retracting an already
@@ -296,7 +364,7 @@ let check_final st ~outcome pid =
       (if outcome then "true" else "false")
       (if outcome then "term" else "clause")
       pid;
-  if c.lits <> [] then failf "conclusion constraint %d is not empty" pid;
+  if c.lits <> [||] then failf "conclusion constraint %d is not empty" pid;
   (match (st.formula, outcome) with
   | Some _, true ->
       (* The axiom terms behind an empty term only covered the clauses
@@ -335,8 +403,15 @@ let check_declare st v quant_char d f =
         failf "variable %d declared with the wrong quantifier" v;
       if Prefix.discovery p (v - 1) <> d || Prefix.finish p (v - 1) <> f then
         failf "variable %d declared with the wrong prefix position" v
-  | None -> ());
-  Hashtbl.replace st.vars v { exist; d; f }
+  | None ->
+      let limit = Qbf_io.Qdimacs.max_declared_vars in
+      if v > limit then
+        failf "declared variable %d exceeds the limit %d" v limit;
+      let cap = Array.length st.dt in
+      if v >= cap then resize st (min (limit + 1) (max (v + 1) (2 * cap))));
+  Bytes.set st.quant v (if exist then 'e' else 'a');
+  st.dt.(v) <- d;
+  st.ft.(v) <- f
 
 (* ---------- trace parsing ---------------------------------------------- *)
 

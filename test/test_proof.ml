@@ -2,7 +2,11 @@
    independent checker (DB reduction on and off, incremental push/pop),
    and hand-mutated traces — dropped antecedent, wrong pivot, forged
    empty clause, dangling constraint id, truncated file — must be
-   rejected with a diagnostic. *)
+   rejected with a diagnostic.  Handcrafted traces over a tree-shaped
+   prefix pin universal reduction to the quantifier tree: a resolvent
+   must drop a universal whose only blocker is in a sibling subtree and
+   keep one with a blocker in its scope, including at the interval's
+   closed end. *)
 
 open Qbf_core
 module ST = Qbf_solver.Solver_types
@@ -272,6 +276,87 @@ let test_reject_truncated () =
      final conclusion line *)
   must_reject "truncated file" (String.sub text 0 (String.length text - 4))
 
+(* --- reduction on a non-prenex prefix -------------------------------- *)
+
+(* A tree-shaped prefix, ∃1 (∀2 ∃3 (∀6 ∃7)) (∀4 ∃5): the universal 2
+   precedes 3 and 7 but not 5, which sits in the sibling subtree.  DFS
+   times: d = 1..7 in the order 1 2 3 6 7 4 5, so f(2) = d(7) = 5 — the
+   closed end of the interval (d(2), f(2)]. *)
+let tree_formula =
+  Qbf_io.Nqdimacs.parse_string
+    "p ncnf 7 4\n\
+     t (e 1 (a 2 (e 3 (a 6 (e 7)))) (a 4 (e 5)))\n\
+     -1 2 5 0\n\
+     1 5 0\n\
+     -1 2 3 0\n\
+     -1 2 7 0\n"
+
+(* Declarations and input clauses 1..4 (one line each after the
+   header), then one resolution record on line 13. *)
+let tree_trace r =
+  let p = Formula.prefix tree_formula in
+  let decls =
+    List.init 7 (fun v ->
+        Printf.sprintf "v %d %s %d %d" (v + 1)
+          (if Prefix.is_exists p v then "e" else "a")
+          (Prefix.discovery p v) (Prefix.finish p v))
+  in
+  String.concat "\n"
+    (("p qproof 1" :: decls)
+    @ [ "i 1 -1 2 5 0"; "i 2 1 5 0"; "i 3 -1 2 3 0"; "i 4 -1 2 7 0"; r; "" ])
+
+let check_tree r =
+  let path = write_trace (tree_trace r) in
+  let res = Checker.check_file ~formula:tree_formula path in
+  Sys.remove path;
+  res
+
+(* [good] is the correct resolvent record and must be accepted; [bad]
+   records a different literal set for the same chain and must be
+   rejected at its own line. *)
+let reduction_case name ~good ~bad =
+  (match check_tree good with
+  | Ok _ -> ()
+  | Error fl ->
+      Alcotest.fail
+        (Printf.sprintf "%s: correct resolvent rejected at line %d: %s" name
+           fl.Checker.line fl.Checker.msg));
+  match check_tree bad with
+  | Ok _ -> Alcotest.fail (name ^ ": wrong resolvent accepted")
+  | Error fl ->
+      Alcotest.(check (pair int string))
+        name
+        (13, "resolvent of constraint 10 does not match the derivation")
+        (fl.Checker.line, fl.Checker.msg)
+
+let test_tree_prefix_times () =
+  let p = Formula.prefix tree_formula in
+  let d v = Prefix.discovery p (v - 1) and f v = Prefix.finish p (v - 1) in
+  Alcotest.(check bool)
+    "3 strictly inside (d 2, f 2]" true
+    (d 2 < d 3 && d 3 < f 2);
+  Alcotest.(check int) "d 7 = f 2" (f 2) (d 7);
+  Alcotest.(check bool) "5 outside (d 2, f 2]" true (d 5 > f 2)
+
+(* Resolving 1 between {-1 2 5} and {1 5}: the universal 2 precedes no
+   existential of the set — its only candidate blocker, 5, is in the
+   sibling subtree (it would block 2 under any prenexing that puts 5
+   after 2) — so 2 reduces away. *)
+let test_reject_sibling_blocker () =
+  reduction_case "sibling blocker" ~good:"r c 10 1 1 2 0 5 0"
+    ~bad:"r c 10 1 1 2 0 2 5 0"
+
+(* {-1 2 3} with {1 5}: 2 precedes 3, so it stays. *)
+let test_reject_dropped_universal () =
+  reduction_case "dropped universal" ~good:"r c 10 3 1 2 0 2 3 5 0"
+    ~bad:"r c 10 3 1 2 0 3 5 0"
+
+(* {-1 2 7} with {1 5}: 7 is the only blocker of 2 and d(7) = f(2); the
+   interval is closed at f, so 2 stays. *)
+let test_reject_boundary_blocker () =
+  reduction_case "blocker at f" ~good:"r c 10 4 1 2 0 2 5 7 0"
+    ~bad:"r c 10 4 1 2 0 5 7 0"
+
 let suite =
   [
     Alcotest.test_case "fpv certificates" `Quick test_fpv_accept;
@@ -287,4 +372,11 @@ let suite =
     Alcotest.test_case "reject dangling constraint id" `Quick
       test_reject_dangling_id;
     Alcotest.test_case "reject truncated trace" `Quick test_reject_truncated;
+    Alcotest.test_case "tree prefix timestamps" `Quick test_tree_prefix_times;
+    Alcotest.test_case "reject universal kept by a sibling" `Quick
+      test_reject_sibling_blocker;
+    Alcotest.test_case "reject dropped preceding universal" `Quick
+      test_reject_dropped_universal;
+    Alcotest.test_case "reject universal dropped at the f boundary" `Quick
+      test_reject_boundary_blocker;
   ]

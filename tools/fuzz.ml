@@ -3,7 +3,7 @@
 
      fuzz [--seeds N] [--seed-base S] [--max-seconds T] [-v]
 
-   Per seed, eight phases:
+   Per seed, nine phases:
 
    1. differential: a random QBF (tree or prenex) solved under every
       interesting engine configuration — the 8-way learning x pures x
@@ -43,7 +43,17 @@
       configuration with a proof trace attached (Session.one_shot
       ?proof); every conclusive run must yield a trace the independent
       checker (Qbf_check.Checker, no solver code) replays successfully
-      against the formula, concluding the same value.
+      against the formula, concluding the same value;
+
+   9. checker robustness: each phase-8 trace the checker accepted is
+      edited with hostile mutations — bit flips, dropped or duplicated
+      records, swapped proof ids, truncation, and huge, negative or
+      out-of-range variable and id values — and the checker must return
+      Ok or a structured Error within a time limit, never raise or hang;
+      and one [r] record's resolvent gains or loses one literal, which
+      the checker must reject at exactly that record's line (a
+      differential test of its reduction and resolution on real
+      traces).
 
    Stops early when --max-seconds is exceeded (the smoke target in
    test/dune runs a 2-second slice on every `dune runtest`).  Exits
@@ -202,6 +212,148 @@ let adversarial_corpus =
     "p ncnf 1 1\n(e 1\n";
     "p cnf 1 1\ne 1 0\n1";
   ]
+
+(* Hostile edits of a valid qproof trace (phase 9). *)
+let extreme_tokens ~nvars =
+  [
+    "0"; "-1"; string_of_int max_int; string_of_int min_int;
+    "4611686018427387904" (* overflows int *); string_of_int (nvars + 1);
+    "16777216"; "1099511627776"; "-1099511627776";
+  ]
+
+(* Positions (line, token) of proof-id tokens: the PID of i/a/x/f
+   records, and PID, FIRST and every antecedent of an r record. *)
+let id_positions lines =
+  let acc = ref [] in
+  Array.iteri
+    (fun li line ->
+      match Array.of_list (String.split_on_char ' ' line) with
+      | toks when Array.length toks >= 2 && List.mem toks.(0) [ "i"; "a"; "x" ]
+        ->
+          acc := (li, 1) :: !acc
+      | [| "f"; _; _ |] -> acc := (li, 2) :: !acc
+      | toks when Array.length toks >= 4 && toks.(0) = "r" ->
+          acc := (li, 2) :: (li, 3) :: !acc;
+          let i = ref 4 in
+          while !i + 1 < Array.length toks && toks.(!i) <> "0" do
+            acc := (li, !i + 1) :: !acc;
+            i := !i + 2
+          done
+      | _ -> ())
+    lines;
+  Array.of_list !acc
+
+let set_token lines (li, ti) tok =
+  let toks = Array.of_list (String.split_on_char ' ' lines.(li)) in
+  if ti < Array.length toks then begin
+    toks.(ti) <- tok;
+    lines.(li) <- String.concat " " (Array.to_list toks)
+  end
+
+let token lines (li, ti) =
+  let toks = Array.of_list (String.split_on_char ' ' lines.(li)) in
+  if ti < Array.length toks then toks.(ti) else "0"
+
+(* Byte-level damage reuses [hostile] and [mutate]; the record-level
+   edits keep every line well formed. *)
+let hostile_trace rng ~nvars text =
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  let line () = Qbf_gen.Rng.int rng (Array.length lines) in
+  match Qbf_gen.Rng.int rng 5 with
+  | 0 -> hostile rng text
+  | 1 -> mutate rng text
+  | 2 ->
+      (* duplicate a record at a random position *)
+      let k = line () and at = line () in
+      String.concat "\n"
+        (List.concat
+           (List.mapi
+              (fun i l -> if i = at then [ lines.(k); l ] else [ l ])
+              (Array.to_list lines)))
+  | 3 ->
+      (* swap two proof-id references *)
+      let ids = id_positions lines in
+      if Array.length ids >= 2 then begin
+        let p = ids.(Qbf_gen.Rng.int rng (Array.length ids)) in
+        let q = ids.(Qbf_gen.Rng.int rng (Array.length ids)) in
+        let tp = token lines p and tq = token lines q in
+        set_token lines p tq;
+        set_token lines q tp
+      end;
+      String.concat "\n" (Array.to_list lines)
+  | _ ->
+      (* an extreme value in place of one number *)
+      let k = line () in
+      let ntoks = List.length (String.split_on_char ' ' lines.(k)) in
+      if ntoks > 1 then
+        set_token lines
+          (k, 1 + Qbf_gen.Rng.int rng (ntoks - 1))
+          (Qbf_gen.Rng.pick rng (extreme_tokens ~nvars));
+      String.concat "\n" (Array.to_list lines)
+
+(* Add or drop one literal of one r record's resolvent so that the
+   literal set really changes.  Returns the edited trace and the edited
+   record's line number, or None for a trace without such a record. *)
+let edit_resolvent rng ~nvars text =
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  let rs =
+    List.filter
+      (fun i -> String.starts_with ~prefix:"r " lines.(i))
+      (List.init (Array.length lines) Fun.id)
+  in
+  (* r KIND PID FIRST (PVAR ANT).. 0 LIT.. 0 *)
+  let rec split_chain acc = function
+    | "0" :: lits -> (List.rev ("0" :: acc), lits)
+    | pv :: ant :: rest -> split_chain (ant :: pv :: acc) rest
+    | rest -> (List.rev acc, rest)
+  in
+  if rs = [] then None
+  else
+    let k = Qbf_gen.Rng.pick rng rs in
+    match String.split_on_char ' ' lines.(k) with
+    | r :: kind :: pid :: first :: rest ->
+        let chain, lit_toks = split_chain [] rest in
+        let lits =
+          List.filter (( <> ) 0) (List.filter_map int_of_string_opt lit_toks)
+        in
+        let absent =
+          List.filter
+            (fun l -> not (List.mem l lits))
+            (List.concat (List.init nvars (fun v -> [ v + 1; -(v + 1) ])))
+        in
+        if lits = [] && absent = [] then None
+        else begin
+          let lits' =
+            if lits <> [] && (absent = [] || Qbf_gen.Rng.bool rng) then
+              let drop = Qbf_gen.Rng.pick rng lits in
+              List.filter (( <> ) drop) lits
+            else Qbf_gen.Rng.pick rng absent :: lits
+          in
+          lines.(k) <-
+            String.concat " "
+              ((r :: kind :: pid :: first :: chain)
+              @ List.map string_of_int lits' @ [ "0" ]);
+          Some (String.concat "\n" (Array.to_list lines), k + 1)
+        end
+    | _ -> None
+
+exception Hang
+
+(* Run [f] under a wall-clock alarm of [secs] seconds; raises [Hang]. *)
+let within secs f =
+  let old = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Hang)) in
+  ignore (Unix.alarm secs);
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.alarm 0);
+      Sys.set_signal Sys.sigalrm old)
+    f
+
+let check_text ~formula path text =
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc;
+  within 5 (fun () -> Qbf_check.Checker.check_file ~formula path)
 
 let () =
   let seeds = ref 500 in
@@ -415,6 +567,7 @@ let () =
           independent checker accepts, with the matching conclusion.
           The proof path forces pure-literal fixing off, so this also
           differentially re-tests the no-pures engine. *)
+       let accepted = ref [] in
        (let path = Filename.temp_file "fuzz-proof" ".qrp" in
         List.iter
           (fun (cname, config) ->
@@ -435,6 +588,15 @@ let () =
                                v.Qbf_check.Checker.conclusions)
                         then
                           complain seed "PROOF wrong conclusion [%s]" cname
+                        else begin
+                          let ic = open_in_bin path in
+                          let text =
+                            really_input_string ic (in_channel_length ic)
+                          in
+                          close_in ic;
+                          if not (List.mem text !accepted) then
+                            accepted := text :: !accepted
+                        end
                     | Error fl ->
                         complain seed "PROOF rejected [%s] line %d: %s" cname
                           fl.Qbf_check.Checker.line fl.Qbf_check.Checker.msg))
@@ -443,6 +605,47 @@ let () =
                 complain seed "PROOF exception [%s]: %s" cname
                   (Printexc.to_string e))
           configs;
+        Sys.remove path);
+       (* 9. checker robustness on hostile edits of accepted traces, and
+          exact rejection of a changed resolvent *)
+       (let path = Filename.temp_file "fuzz-check" ".qrp" in
+        let nvars = Formula.nvars f in
+        List.iteri
+          (fun ti text ->
+            if ti < 3 then begin
+              for _ = 0 to 3 do
+                let m = hostile_trace rng ~nvars text in
+                match check_text ~formula:f path m with
+                | Ok _ | Error _ -> ()
+                | exception Hang ->
+                    complain seed "CHECKER hang on a hostile trace"
+                | exception e ->
+                    complain seed "CHECKER exception on a hostile trace: %s"
+                      (Printexc.to_string e)
+              done;
+              match edit_resolvent rng ~nvars text with
+              | None -> ()
+              | Some (edited, line) -> (
+                  match check_text ~formula:f path edited with
+                  | Error fl
+                    when fl.Qbf_check.Checker.line = line
+                         && String.starts_with ~prefix:"resolvent of constraint"
+                              fl.Qbf_check.Checker.msg ->
+                      ()
+                  | Error fl ->
+                      complain seed
+                        "CHECKER edited resolvent at line %d rejected at line \
+                         %d: %s"
+                        line fl.Qbf_check.Checker.line fl.Qbf_check.Checker.msg
+                  | Ok _ ->
+                      complain seed
+                        "CHECKER accepted an edited resolvent (line %d)" line
+                  | exception e ->
+                      complain seed
+                        "CHECKER exception on an edited resolvent: %s"
+                        (Printexc.to_string e))
+            end)
+          (List.rev !accepted);
         Sys.remove path);
        (* 6. loader crash-robustness: hostile bytes — bit flips,
           CRLF/CR mangling, binary splices, mid-token truncation,
