@@ -54,26 +54,6 @@ let strategy_of_name name =
    the result line, the JSON status and qubed's wire format agree. *)
 module Outcome = Qbf_solver.Outcome
 
-(* The complete stats record.  Every key is always present, so the JSON
-   shape is identical on conclusive, timeout, interrupt and memory-cap
-   exits alike — consumers can rely on the full key set. *)
-let json_of_stats (s : ST.stats) =
-  Json.Obj
-    [
-      ("decisions", Json.Int s.ST.decisions);
-      ("propagations", Json.Int s.ST.propagations);
-      ("pure_assignments", Json.Int s.ST.pure_assignments);
-      ("conflicts", Json.Int s.ST.conflicts);
-      ("solutions", Json.Int s.ST.solutions);
-      ("learned_clauses", Json.Int s.ST.learned_clauses);
-      ("learned_cubes", Json.Int s.ST.learned_cubes);
-      ("backjumps", Json.Int s.ST.backjumps);
-      ("chrono_fallbacks", Json.Int s.ST.chrono_fallbacks);
-      ("max_decision_level", Json.Int s.ST.max_decision_level);
-      ("restarts_done", Json.Int s.ST.restarts_done);
-      ("deleted_constraints", Json.Int s.ST.deleted_constraints);
-    ]
-
 let json_of_witness = function
   | ST.No_witness -> Json.Null
   | ST.Proof_trace { path; steps; format_version } ->
@@ -94,7 +74,7 @@ let json_of_report (r : Run.report) =
         | None -> Json.Null
         | Some s -> Json.String (Run.string_of_stop_reason s) );
       ("witness", json_of_witness r.Run.witness);
-      ("stats", json_of_stats r.Run.stats);
+      ("stats", Qbf_run.Report.json_of_stats r.Run.stats);
       ( "metrics",
         match r.Run.metrics with
         | None -> Json.Null

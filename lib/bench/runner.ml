@@ -117,23 +117,6 @@ let schema_version = 1
 
 let string_of_outcome = Qbf_solver.Outcome.to_json_string
 
-let json_of_stats (s : ST.stats) =
-  Json.Obj
-    [
-      ("decisions", Json.Int s.ST.decisions);
-      ("propagations", Json.Int s.ST.propagations);
-      ("pure_assignments", Json.Int s.ST.pure_assignments);
-      ("conflicts", Json.Int s.ST.conflicts);
-      ("solutions", Json.Int s.ST.solutions);
-      ("learned_clauses", Json.Int s.ST.learned_clauses);
-      ("learned_cubes", Json.Int s.ST.learned_cubes);
-      ("backjumps", Json.Int s.ST.backjumps);
-      ("chrono_fallbacks", Json.Int s.ST.chrono_fallbacks);
-      ("max_decision_level", Json.Int s.ST.max_decision_level);
-      ("restarts_done", Json.Int s.ST.restarts_done);
-      ("deleted_constraints", Json.Int s.ST.deleted_constraints);
-    ]
-
 let json_of_run (r : run) =
   Json.Obj
     [
@@ -144,7 +127,7 @@ let json_of_run (r : run) =
         match r.stopped with
         | None -> Json.Null
         | Some s -> Json.String (Run.string_of_stop_reason s) );
-      ("stats", json_of_stats r.stats);
+      ("stats", Qbf_run.Report.json_of_stats r.stats);
       ( "metrics",
         match r.metrics with
         | None -> Json.Null

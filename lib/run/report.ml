@@ -1,18 +1,18 @@
 (* The one report shape for a budgeted solve.
 
-   [Run.solve], [Run.Session.solve] and the serving worker all used to
-   assemble their own record and re-derive "why did this stop" from an
-   [Unknown] outcome by hand; the type, the stop-reason derivation and
-   the collector snapshots now live here so every layer reports through
-   the same code path. *)
+   The type, the "why did this stop" derivation for an [Unknown]
+   outcome, the collector snapshots and the stats encoder live here, so
+   [Run.solve], the serving worker, [qube] and the bench harness report
+   through the same code path. *)
 
 module ST = Qbf_solver.Solver_types
+module Json = Qbf_obs.Json
 
 type stop_reason =
   | Timeout (* the wall-clock deadline expired *)
   | Interrupted of Limits.Interrupt.reason (* signal / memory / manual *)
   | Node_budget (* the leaf budget was hit *)
-  | Budget (* some other configured budget (decisions, custom hook) *)
+  | Budget (* some other configured budget (a custom hook) *)
 
 let string_of_stop_reason = function
   | Timeout -> "timeout"
@@ -88,3 +88,24 @@ let make ~interrupt ~deadline ~config ~time ~nodes (r : ST.result) =
     metrics;
     profile;
   }
+
+(* The complete stats record as JSON, for [qube --json-status] and the
+   bench records.  Every key is always present, in a fixed order, so the
+   shape is identical on conclusive, timeout, interrupt and memory-cap
+   exits alike — consumers can rely on the full key set. *)
+let json_of_stats (s : ST.stats) =
+  Json.Obj
+    [
+      ("decisions", Json.Int s.ST.decisions);
+      ("propagations", Json.Int s.ST.propagations);
+      ("pure_assignments", Json.Int s.ST.pure_assignments);
+      ("conflicts", Json.Int s.ST.conflicts);
+      ("solutions", Json.Int s.ST.solutions);
+      ("learned_clauses", Json.Int s.ST.learned_clauses);
+      ("learned_cubes", Json.Int s.ST.learned_cubes);
+      ("backjumps", Json.Int s.ST.backjumps);
+      ("chrono_fallbacks", Json.Int s.ST.chrono_fallbacks);
+      ("max_decision_level", Json.Int s.ST.max_decision_level);
+      ("restarts_done", Json.Int s.ST.restarts_done);
+      ("deleted_constraints", Json.Int s.ST.deleted_constraints);
+    ]

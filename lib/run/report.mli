@@ -1,7 +1,6 @@
-(** The one report shape for a budgeted solve, shared by {!Run.solve},
-    {!Run.Session.solve} and the serving worker.  {!Run} re-exports the
-    types, so existing [Run.report] consumers see these fields
-    unchanged. *)
+(** The one report shape for a budgeted solve, shared by {!Run.solve}
+    and the serving worker.  {!Run} re-exports the types, so existing
+    [Run.report] consumers see these fields unchanged. *)
 
 module ST = Qbf_solver.Solver_types
 
@@ -11,7 +10,7 @@ type stop_reason =
       (** a signal arrived, the memory guard tripped, or code tripped
           the interrupt *)
   | Node_budget  (** the leaf budget was hit *)
-  | Budget  (** another configured budget (decisions, custom hook) *)
+  | Budget  (** another configured budget (a custom hook) *)
 
 val string_of_stop_reason : stop_reason -> string
 
@@ -60,3 +59,7 @@ val make :
 (** Assemble the report of one budgeted solve.  [nodes] is what the
     engine compared against [max_nodes] (the session's cumulative
     totals for session calls, this run's count otherwise). *)
+
+val json_of_stats : ST.stats -> Qbf_obs.Json.t
+(** Every {!ST.stats} field, always all keys in one fixed order: the
+    [stats] object of [qube --json-status] and of the bench records. *)

@@ -125,7 +125,6 @@ let effective_config (limits : Limits.t) interrupt deadline config =
   ST.with_budgets
     (fun b ->
       {
-        b with
         ST.should_stop;
         stop_flag;
         stop_interval = max 1 limits.Limits.poll_interval;
@@ -185,90 +184,6 @@ let solve_source ?limits ?interrupt ?config ?proof_file src =
     | Inline text -> load_string ~file:"<inline>" text
   in
   Result.map (fun f -> solve ?limits ?interrupt ?config ?proof_file f) loaded
-
-(* ------------------------------------------------------------------ *)
-(* Budgeted incremental sessions                                       *)
-
-(* The session analogue of [solve]: one growable Qbf_solver.Session
-   behind the same limit plumbing.  The wall-clock budget is per call —
-   each [solve] gets a fresh deadline — while [max_nodes] necessarily
-   stays cumulative (the engine compares it against the session's
-   running totals).  The memory guard is installed only around solves,
-   so building a large extension between calls never trips it. *)
-module Session = struct
-  type session = {
-    raw : Qbf_solver.Session.t;
-    limits : Limits.t;
-    interrupt : Limits.Interrupt.t;
-    config : ST.config; (* the effective config, for snapshots *)
-  }
-
-  type t = session
-
-  let make ?(limits = Limits.default) ?interrupt
-      ?(config = ST.default_config) ?validate seed =
-    let interrupt =
-      match interrupt with Some i -> i | None -> Limits.Interrupt.create ()
-    in
-    let config =
-      ST.with_budgets
-        (fun b ->
-          {
-            b with
-            ST.stop_flag =
-              (match b.ST.stop_flag with
-              | None -> Some (Limits.Interrupt.flag interrupt)
-              | Some _ as user -> user);
-            stop_interval = max 1 limits.Limits.poll_interval;
-            max_nodes = min_opt b.ST.max_nodes limits.Limits.max_nodes;
-          })
-        config
-    in
-    let raw =
-      match seed with
-      | None -> Qbf_solver.Session.create ~config ?validate ()
-      | Some f -> Qbf_solver.Session.of_formula ~config ?validate f
-    in
-    { raw; limits; interrupt; config }
-
-  let create ?limits ?interrupt ?config ?validate () =
-    make ?limits ?interrupt ?config ?validate None
-
-  let of_formula ?limits ?interrupt ?config ?validate f =
-    make ?limits ?interrupt ?config ?validate (Some f)
-
-  let raw t = t.raw
-  let interrupt t = t.interrupt
-  let stats t = Qbf_solver.Session.stats t.raw
-
-  let solve ?assumptions t =
-    let deadline =
-      match t.limits.Limits.timeout_s with
-      | None -> Limits.Deadline.never
-      | Some s -> Limits.Deadline.after ~clock:t.limits.Limits.clock s
-    in
-    let guard =
-      Option.map
-        (fun mb -> Limits.Mem_guard.install ~limit_mb:mb t.interrupt)
-        t.limits.Limits.mem_mb
-    in
-    let t0 = t.limits.Limits.clock () in
-    let r =
-      Fun.protect
-        ~finally:(fun () -> Option.iter Limits.Mem_guard.remove guard)
-        (fun () ->
-          Qbf_solver.Session.solve ?assumptions
-            ~should_stop:(fun () -> Limits.Deadline.expired deadline)
-            t.raw)
-    in
-    let time = t.limits.Limits.clock () -. t0 in
-    (* [max_nodes] is compared against the session's cumulative totals,
-       not this call's delta — hence the session-wide node count. *)
-    Report.make ~interrupt:t.interrupt ~deadline ~config:t.config ~time
-      ~nodes:(ST.nodes (Qbf_solver.Session.stats t.raw)) r
-
-  let dispose t = Qbf_solver.Session.dispose t.raw
-end
 
 (* ------------------------------------------------------------------ *)
 (* Budget-escalation portfolio                                         *)

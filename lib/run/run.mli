@@ -40,7 +40,7 @@ type stop_reason = Report.stop_reason =
       (** a signal arrived, the memory guard tripped, or code tripped
           the interrupt *)
   | Node_budget  (** the leaf budget was hit *)
-  | Budget  (** another configured budget (decisions, custom hook) *)
+  | Budget  (** another configured budget (a custom hook) *)
 
 val string_of_stop_reason : stop_reason -> string
 
@@ -99,48 +99,6 @@ val solve_source :
     sniffed) then {!solve} under the same limit plumbing.  Input
     failures come back as structured errors, so a supervised worker
     reports them over its pipe instead of dying. *)
-
-(** The session analogue of {!solve}: a growable
-    {!Qbf_solver.Session} behind the same limit plumbing.  The
-    wall-clock budget and the memory guard apply {e per call} — each
-    [solve] gets a fresh deadline, and the guard is installed only
-    while solving — whereas a [max_nodes] limit is necessarily
-    cumulative over the session's lifetime (the engine compares it
-    against the session's running totals).  An interrupt stays tripped
-    across calls until {!Limits.Interrupt.clear}ed. *)
-module Session : sig
-  type t
-
-  val create :
-    ?limits:Limits.t ->
-    ?interrupt:Limits.Interrupt.t ->
-    ?config:ST.config ->
-    ?validate:bool ->
-    unit ->
-    t
-
-  val of_formula :
-    ?limits:Limits.t ->
-    ?interrupt:Limits.Interrupt.t ->
-    ?config:ST.config ->
-    ?validate:bool ->
-    Qbf_core.Formula.t ->
-    t
-
-  val raw : t -> Qbf_solver.Session.t
-  (** The underlying session, for growth calls ([add_clause],
-      [extend_prefix], [push]/[pop], ...). *)
-
-  val interrupt : t -> Limits.Interrupt.t
-
-  val solve : ?assumptions:Qbf_core.Lit.t list -> t -> report
-  (** One budgeted call; [report.stats] is this call's delta. *)
-
-  val stats : t -> ST.stats
-  (** Cumulative totals over the whole session. *)
-
-  val dispose : t -> unit
-end
 
 type attempt = {
   label : string;

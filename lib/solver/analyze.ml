@@ -6,7 +6,8 @@
    reason until the working clause is asserting; then backjump and learn.
    Solutions (satisfied matrix or true cube) are analysed dually by term
    resolution on universal literals with their unit-cube reasons,
-   learning a good/cube.
+   learning a good/cube.  The two are one loop over the constraint kind
+   ([analyze ~cube]); they differ only in the starting working set.
 
    Analysis works in long-distance Q/term resolution: a clash of
    polarities on a reducible-kind variable that the pivot ≺-precedes is
@@ -75,19 +76,20 @@ let lbd_of s lits =
 (* ---------- chronological fallback (plain Q-DLL backtracking) --------- *)
 
 (* Flip the deepest unflipped decision owned by the losing player:
-   existential decisions for a FALSE leaf, universal for a TRUE leaf. *)
-let chrono s ~exist_side =
+   existential decisions for a conflict ([~cube:false], a FALSE leaf),
+   universal for a solution ([~cube:true], a TRUE leaf). *)
+let chrono s ~cube =
   let rec find lvl =
     if lvl < 1 then None
     else
       let dec_lit = Vec.get s.S.trail (Vec.get s.S.trail_lim (lvl - 1)) in
       let flipped = Vec.get s.S.dec_flipped (lvl - 1) in
-      if (not flipped) && s.S.is_exist.(S.var dec_lit) = exist_side then
+      if (not flipped) && s.S.is_exist.(S.var dec_lit) <> cube then
         Some (lvl, dec_lit)
       else find (lvl - 1)
   in
   match find (S.current_level s) with
-  | None -> Concluded (if exist_side then False else True)
+  | None -> Concluded (if cube then True else False)
   | Some (lvl, dec_lit) ->
       S.backtrack s (lvl - 1);
       S.new_decision s (S.neg dec_lit) ~flipped:true;
@@ -106,8 +108,13 @@ type work = {
 let work_create () =
   { tbl = Hashtbl.create 64; merged = Hashtbl.create 4; members = [] }
 
-(* [bad] rejects literals that would break the working-set invariant:
-   a true literal in a clause analysis, a false one in a cube analysis.
+(* The search-time working-set invariant: a value [bad_value ~cube]
+   rejects — true for a literal of a clause analysis, false for one of
+   a cube analysis. *)
+let bad_value ~cube v = if cube then v = 0 else v = 1
+
+(* [bad] rejects literals that would break the working-set invariant
+   ([bad_value] during search, nothing in the syntactic drain).
 
    A clash of polarities is not always fatal: long-distance Q-resolution
    (Zhang-Malik; proved sound by Balabanov-Jiang) admits the
@@ -175,28 +182,18 @@ let add_antecedent s w ~bad ~cube ~pvar rid =
         else work_add s w ~bad ~merge:(cube, pvar) m)
     lits
 
-(* Universal reduction of the working clause (Lemma 3): drop universal
-   literals preceding no existential literal of the set.  Iterates to a
-   fixpoint implicitly — removing a universal literal never unblocks
-   another universal literal, so one pass suffices. *)
-let reduce_clause_work s w =
+(* Universal reduction of a working clause (Lemma 3), and dually
+   existential reduction of a working cube: drop every literal of the
+   reducible kind (universal in a clause, existential in a cube) that
+   ≺-precedes no literal of the other kind.  Removing a reducible
+   literal never unblocks another one, so one pass reaches the
+   fixpoint. *)
+let reduce_work s w ~cube =
   let keep l =
-    s.S.is_exist.(S.var l)
+    s.S.is_exist.(S.var l) <> cube
     || List.exists
-         (fun e ->
-           s.S.is_exist.(S.var e) && S.precedes s (S.var l) (S.var e))
-         w.members
-  in
-  let removed = List.filter (fun l -> not (keep l)) w.members in
-  List.iter (work_remove w) removed
-
-(* Dual existential reduction of the working cube. *)
-let reduce_cube_work s w =
-  let keep l =
-    (not s.S.is_exist.(S.var l))
-    || List.exists
-         (fun u ->
-           (not s.S.is_exist.(S.var u)) && S.precedes s (S.var l) (S.var u))
+         (fun m ->
+           s.S.is_exist.(S.var m) <> cube && S.precedes s (S.var l) (S.var m))
          w.members
   in
   let removed = List.filter (fun l -> not (keep l)) w.members in
@@ -279,16 +276,20 @@ let emit_step s p ~cube ~first ~rev_chain ~lits =
    deepest remaining pivot with its unit reason, reduction interleaved,
    until reduction empties the set.  Every such step stays inside plain
    Q/term resolution because with pure-literal fixing off every level-0
-   assignment is a unit propagation.  This runs entirely outside the
-   search — no bumps, no learning — and any surprise aborts emission
+   assignment is a unit propagation.  The steps are purely syntactic, so
+   the search-time value check is off: a literal assigned after its
+   reason propagated (a trailing universal of a level-0 clause, true by
+   now at a deeper level) is sound to resolve in, and a tautological
+   pair still has to pass the merge rule.  This runs entirely outside
+   the search — no bumps, no learning — and any surprise aborts emission
    (incomplete trace) instead of touching the outcome. *)
 let conclude s p ~cube ~first ~rev_chain w =
   let db = s.S.db in
   let bound = 5000 + (4 * s.S.nvars) in
-  let bad v = if cube then v = 0 else v = 1 in
+  let bad _ = false in
   let rec drain chain n =
     if n > bound then raise Fallback;
-    if cube then reduce_cube_work s w else reduce_clause_work s w;
+    reduce_work s w ~cube;
     let pivots =
       List.filter (fun l -> s.S.is_exist.(S.var l) <> cube) w.members
     in
@@ -309,47 +310,52 @@ let conclude s p ~cube ~first ~rev_chain w =
       | pid -> Proof.final p ~outcome:cube ~pid)
   | exception Fallback -> ()
 
-(* ---------- conflict analysis ------------------------------------------ *)
+(* ---------- the analysis loop ------------------------------------------ *)
 
-let analyze_conflict s cid0 =
+(* The analysis loop of both kinds (see the header): reduce, then
+   resolve on the trail-deepest *primary* — an existential of a working
+   clause, a universal of a working cube — with its same-kind reason
+   until the working set asserts it; then backjump and learn.  [w] is
+   the starting working set, [first] its proof id (0 when untraced) and
+   [frame] its session frame. *)
+let analyze s w ~cube ~first ~frame =
   let db = s.S.db in
-  let w = work_create () in
-  let bad v = v = 1 in
-  Db.iter_lits db cid0 (work_add s w ~bad);
-  Db.bump db cid0;
-  (* Frame dependency of the derivation: the learned clause depends on
-     every session frame an antecedent depends on, so it is tagged with
-     the maximum and retracted when any of them is popped. *)
-  let max_frame = ref (Db.frame db cid0) in
+  let bad = bad_value ~cube in
+  (* Frame dependency of the derivation: the learned constraint depends
+     on every session frame an antecedent depends on, so it is tagged
+     with the maximum and retracted when any of them is popped. *)
+  let max_frame = ref frame in
   (* Resolution chain for the trace, (pivot var, antecedent id) newest
      first; only maintained while a writer is attached. *)
   let tracing = s.S.proof <> None in
   let pchain = ref [] in
-  let conclude_false () =
+  let concluded () =
     (match s.S.proof with
-    | Some p ->
-        conclude s p ~cube:false ~first:(Db.pid db cid0) ~rev_chain:!pchain w
+    | Some p -> conclude s p ~cube ~first ~rev_chain:!pchain w
     | None -> ());
-    `False
+    Concluded (if cube then True else False)
   in
   let bound = 5000 + (4 * s.S.nvars) in
   let rec loop n =
     if n > bound then raise Fallback;
-    reduce_clause_work s w;
-    let exist_lits = List.filter (fun l -> s.S.is_exist.(S.var l)) w.members in
-    match deepest s exist_lits with
+    reduce_work s w ~cube;
+    let primaries =
+      List.filter (fun l -> s.S.is_exist.(S.var l) <> cube) w.members
+    in
+    match deepest s primaries with
     | None ->
-        (* purely universal working clause: formula is false *)
-        conclude_false ()
+        (* no primary left: the working clause is purely universal (the
+           formula is false), the working cube purely existential (true) *)
+        concluded ()
     | Some e ->
         let lvl = s.S.vlevel.(S.var e) in
-        if lvl = 0 then conclude_false ()
+        if lvl = 0 then concluded ()
         else
           let ok_levels =
             List.for_all
               (fun l ->
                 l = e
-                || (not (blocks_assert s w ~cube:false e l))
+                || (not (blocks_assert s w ~cube e l))
                 || (not (S.is_assigned s (S.var l)))
                 || s.S.vlevel.(S.var l) < lvl)
               w.members
@@ -360,7 +366,7 @@ let analyze_conflict s cid0 =
                 || not (S.precedes s (S.var l) (S.var e)))
               w.members
           in
-          let beta = max_level_of_others s w ~cube:false e in
+          let beta = max_level_of_others s w ~cube e in
           if ok_levels && ok_scope && merged_ok s w ~beta e then begin
             let lits = Array.of_list (sorted_lits w) in
             let lbd = lbd_of s lits in
@@ -370,40 +376,51 @@ let analyze_conflict s cid0 =
                post-backjump assignment *)
             S.backtrack s beta;
             let cid =
-              S.add_constraint s Clause_c ~learned:true ~frame:!max_frame ~lbd
-                lits
+              S.add_constraint s
+                (if cube then Cube_c else Clause_c)
+                ~learned:true ~frame:!max_frame ~lbd lits
             in
             Db.bump db cid;
-            s.S.stats.learned_clauses <- s.S.stats.learned_clauses + 1;
-            s.S.stats.backjumps <- s.S.stats.backjumps + 1;
-            note_learn s ~cube:false ~size:(Array.length lits) ~from_level
+            let st = s.S.stats in
+            if cube then st.learned_cubes <- st.learned_cubes + 1
+            else st.learned_clauses <- st.learned_clauses + 1;
+            st.backjumps <- st.backjumps + 1;
+            note_learn s ~cube ~size:(Array.length lits) ~from_level
               ~to_level:beta;
             (match s.S.proof with
             | Some p -> (
                 match
-                  emit_step s p ~cube:false ~first:(Db.pid db cid0)
-                    ~rev_chain:!pchain ~lits:(Array.to_list lits)
+                  emit_step s p ~cube ~first ~rev_chain:!pchain
+                    ~lits:(Array.to_list lits)
                 with
                 | 0 -> ()
                 | pid -> Db.set_pid db cid pid)
             | None -> ());
-            `Learned
+            Continue
           end
           else
             match s.S.reason.(S.var e) with
-            | Reason rid when not (Db.is_cube db rid) ->
+            | Reason rid when Db.is_cube db rid = cube ->
                 if Db.frame db rid > !max_frame then
                   max_frame := Db.frame db rid;
                 Db.bump db rid;
                 if tracing then pchain := (S.var e, rid) :: !pchain;
                 work_remove w e;
-                add_antecedent s w ~bad ~cube:false ~pvar:(S.var e) rid;
+                add_antecedent s w ~bad ~cube ~pvar:(S.var e) rid;
                 loop (n + 1)
             | Reason _ | Decision | Flipped | Pure -> raise Fallback
   in
   loop 0
 
-(* ---------- solution analysis ------------------------------------------ *)
+(* A falsified clause or a true cube starts the working set as itself. *)
+let analyze_constraint s ~cube cid =
+  let db = s.S.db in
+  let w = work_create () in
+  Db.iter_lits db cid (work_add s w ~bad:(bad_value ~cube));
+  Db.bump db cid;
+  analyze s w ~cube ~first:(Db.pid db cid) ~frame:(Db.frame db cid)
+
+(* ---------- the initial-good cover -------------------------------------- *)
 
 (* Initial good (Section III): a set S of literals propositionally
    entailing the original matrix, taken as the starting cube of solution
@@ -427,11 +444,9 @@ let analyze_conflict s cid0 =
    existential; the earliest-assigned true universal. *)
 exception Cover_stuck
 
-let debug_cover = Sys.getenv_opt "QBF_DEBUG_COVER" <> None
-
 let cover_with s w ~virtual_flips =
   let db = s.S.db in
-  let bad v = v = 0 in
+  let bad = bad_value ~cube:true in
   let chosen = Hashtbl.create 64 in
   (* var -> literal of S *)
   let choose m =
@@ -493,14 +508,6 @@ let cover_with s w ~virtual_flips =
                   end
               | None -> ());
         if !best < 0 then raise Cover_stuck;
-        (if debug_cover then begin
-           Printf.eprintf "cover: rank%d pick %d for clause:" !best_rank !best;
-           Db.iter_lits db cid (fun m ->
-               Printf.eprintf " %d(%s%s)" m
-                 (match S.lit_value s m with 1 -> "T" | 0 -> "F" | _ -> "?")
-                 (if s.S.drop_ok.(S.var m) then "d" else ""));
-           prerr_newline ()
-         end);
         choose !best
       end
     end
@@ -518,133 +525,42 @@ let cover_cube s w =
       w.members <- [];
       cover_with s w ~virtual_flips:false
 
-let analyze_solution s source =
-  let db = s.S.db in
+(* A satisfied matrix starts the working cube as the initial-good cover.
+   A cover good entails the whole current matrix, so it depends on the
+   current frame. *)
+let analyze_cover s =
   let w = work_create () in
-  let bad v = v = 0 in
-  (* A cover good entails the whole current matrix, so it depends on the
-     current frame; a cube source carries its recorded frame. *)
-  let max_frame =
-    ref
-      (match source with
-      | Propagate.Cover -> s.S.frame_level
-      | Propagate.Cube cid -> Db.frame db cid)
+  let cover = cover_cube s w in
+  let first =
+    match s.S.proof with
+    | Some p ->
+        let pid = Proof.fresh_pid p in
+        Proof.axiom_term p ~pid (List.sort_uniq Int.compare cover);
+        pid
+    | None -> 0
   in
-  let tracing = s.S.proof <> None in
-  let pchain = ref [] in
-  let first_pid =
-    match source with
-    | Propagate.Cover ->
-        let cover = cover_cube s w in
-        (match s.S.proof with
-        | Some p ->
-            let pid = Proof.fresh_pid p in
-            Proof.axiom_term p ~pid (List.sort_uniq Int.compare cover);
-            pid
-        | None -> 0)
-    | Propagate.Cube cid ->
-        Db.iter_lits db cid (work_add s w ~bad);
-        Db.bump db cid;
-        if tracing then Db.pid db cid else 0
-  in
-  let conclude_true () =
-    (match s.S.proof with
-    | Some p -> conclude s p ~cube:true ~first:first_pid ~rev_chain:!pchain w
-    | None -> ());
-    `True
-  in
-  let bound = 5000 + (4 * s.S.nvars) in
-  let rec loop n =
-    if n > bound then raise Fallback;
-    reduce_cube_work s w;
-    let univ_lits =
-      List.filter (fun l -> not s.S.is_exist.(S.var l)) w.members
-    in
-    match deepest s univ_lits with
-    | None ->
-        (* purely existential working cube: formula is true *)
-        conclude_true ()
-    | Some u ->
-        let lvl = s.S.vlevel.(S.var u) in
-        if lvl = 0 then conclude_true ()
-        else
-          let ok_levels =
-            List.for_all
-              (fun l ->
-                l = u
-                || (not (blocks_assert s w ~cube:true u l))
-                || (not (S.is_assigned s (S.var l)))
-                || s.S.vlevel.(S.var l) < lvl)
-              w.members
-          and ok_scope =
-            List.for_all
-              (fun l ->
-                S.is_assigned s (S.var l)
-                || not (S.precedes s (S.var l) (S.var u)))
-              w.members
-          in
-          let beta = max_level_of_others s w ~cube:true u in
-          if ok_levels && ok_scope && merged_ok s w ~beta u then begin
-            let lits = Array.of_list (sorted_lits w) in
-            let lbd = lbd_of s lits in
-            let from_level = S.current_level s in
-            S.backtrack s beta;
-            let cid =
-              S.add_constraint s Cube_c ~learned:true ~frame:!max_frame ~lbd
-                lits
-            in
-            Db.bump db cid;
-            s.S.stats.learned_cubes <- s.S.stats.learned_cubes + 1;
-            s.S.stats.backjumps <- s.S.stats.backjumps + 1;
-            note_learn s ~cube:true ~size:(Array.length lits) ~from_level
-              ~to_level:beta;
-            (match s.S.proof with
-            | Some p -> (
-                match
-                  emit_step s p ~cube:true ~first:first_pid
-                    ~rev_chain:!pchain ~lits:(Array.to_list lits)
-                with
-                | 0 -> ()
-                | pid -> Db.set_pid db cid pid)
-            | None -> ());
-            `Learned
-          end
-          else
-            match s.S.reason.(S.var u) with
-            | Reason rid when Db.is_cube db rid ->
-                if Db.frame db rid > !max_frame then
-                  max_frame := Db.frame db rid;
-                Db.bump db rid;
-                if tracing then pchain := (S.var u, rid) :: !pchain;
-                work_remove w u;
-                add_antecedent s w ~bad ~cube:true ~pvar:(S.var u) rid;
-                loop (n + 1)
-            | Reason _ | Decision | Flipped | Pure -> raise Fallback
-  in
-  loop 0
+  analyze s w ~cube:true ~first ~frame:s.S.frame_level
 
 (* ---------- entry points ------------------------------------------------ *)
 
-let handle_conflict s cid =
-  if not s.S.config.search.learning then chrono s ~exist_side:true
+(* Analyze a leaf of kind [cube], or flip chronologically when learning
+   is off or the analysis falls back. *)
+let handle s ~cube analysis =
+  if not s.S.config.search.learning then chrono s ~cube
   else begin
     Db.decay s.S.db;
-    match analyze_conflict s cid with
-    | `False -> Concluded False
-    | `Learned -> Continue
+    match analysis () with
+    | r -> r
     | exception Fallback ->
         s.S.stats.chrono_fallbacks <- s.S.stats.chrono_fallbacks + 1;
-        chrono s ~exist_side:true
+        chrono s ~cube
   end
 
+let handle_conflict s cid =
+  handle s ~cube:false (fun () -> analyze_constraint s ~cube:false cid)
+
 let handle_solution s source =
-  if not s.S.config.search.learning then chrono s ~exist_side:false
-  else begin
-    Db.decay s.S.db;
-    match analyze_solution s source with
-    | `True -> Concluded True
-    | `Learned -> Continue
-    | exception Fallback ->
-        s.S.stats.chrono_fallbacks <- s.S.stats.chrono_fallbacks + 1;
-        chrono s ~exist_side:false
-  end
+  handle s ~cube:true (fun () ->
+      match source with
+      | Propagate.Cover -> analyze_cover s
+      | Propagate.Cube cid -> analyze_constraint s ~cube:true cid)

@@ -21,9 +21,6 @@ let leaves s = s.S.stats.conflicts + s.S.stats.solutions
 let budget_exhausted s =
   let b = s.S.config.budgets in
   (match b.stop_flag with Some r -> !r | None -> false)
-  || (match b.max_decisions with
-     | Some m -> s.S.stats.decisions >= m
-     | None -> false)
   || (match b.max_nodes with Some m -> leaves s >= m | None -> false)
   || (match b.should_stop with
      | None -> false
@@ -47,8 +44,8 @@ let rescan_falsified s =
       && (not (Db.is_cube db cid))
       &&
       if Db.learned db cid then
-        let ue, _, fixed = S.scan_status s cid in
-        fixed = 0 && ue = 0
+        let opened, fixed = S.scan_status s cid in
+        fixed = 0 && opened = 0
       else Db.fixed db cid = 0 && Db.ue db cid = 0
     then Some cid
     else go (cid + 1)
@@ -120,6 +117,9 @@ let reduce_db s =
     ignore (S.compact_db s)
   end
 
+(* Leaves between two activity rescalings (Section VI). *)
+let rescale_period = 256
+
 let solve_state s =
   let o = s.S.obs in
   let restart_idx = ref 1 in
@@ -161,8 +161,7 @@ let solve_state s =
   in
   let maybe_rescale () =
     let n = leaves s in
-    if n > 0 && n mod s.S.config.search.rescale_interval = 0 then
-      S.rescale_activities s
+    if n > 0 && n mod rescale_period = 0 then S.rescale_activities s
   in
   (* Phase spans are opened and closed inline under the profile flag so
      the disabled path stays closure- and allocation-free. *)
@@ -280,24 +279,15 @@ let solve_state s =
 (* Solve a QBF.  The formula is lightly preprocessed: tautological
    clauses dropped (done by State), which is enough for the engine's
    invariants.  Attaching a proof writer forces pure-literal fixing off
-   (a pure-assigned pivot has no reason constraint to resolve with) and
-   learning on (the resolution steps of Analyze are the derivation; a
-   chronological engine concludes without deriving anything; see
-   Proof). *)
+   and learning on (State.create; see Proof). *)
 let solve ?(config = default_config) ?proof formula =
-  let config =
-    match proof with
-    | Some _ -> config |> with_pure_literals false |> with_learning true
-    | None -> config
-  in
   let s =
     match config.observe.obs with
     | Some o when o.Obs.profile_on ->
         Profile.span o.Obs.profile Profile.Build (fun () ->
-            S.create formula config)
-    | _ -> S.create formula config
+            S.create ?proof formula config)
+    | _ -> S.create ?proof formula config
   in
-  (match proof with Some p -> S.attach_proof s p | None -> ());
   solve_state s
 
 (* Test hook: run one reduction cycle against the current state exactly

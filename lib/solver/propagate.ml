@@ -36,23 +36,27 @@ type outcome =
   | P_none (* quiescent: decide next *)
 
 (* Learned (watch-maintained) constraints carry no counters: their
-   re-verification scans the assignment ([S.scan_status]).  When such an entry turns out
-   stale, its watches were left broken at push time, so the invariant is
-   restored ([S.repair_watches]) — which may legitimately re-enqueue it
-   elsewhere (a parked unit clause is pushed on unit_q, never back on
-   the queue being drained, so draining terminates). *)
+   re-verification scans the assignment ([S.scan_status]).  When such an
+   entry turns out stale, its watches were left broken at push time, so
+   the invariant is restored ([S.repair_watches]) — which may
+   legitimately re-enqueue it elsewhere (a parked unit clause is pushed
+   on unit_q, never back on the queue being drained, so draining
+   terminates). *)
 
-let pop_conflict s =
+(* Pop the next leaf: a falsified clause from conflict_q, a true cube
+   from cubesat_q.  Cubes are always learned. *)
+let pop_leaf s ~cube =
   let db = s.S.db in
+  let q = if cube then s.S.cubesat_q else s.S.conflict_q in
   let rec go () =
-    if Vec.is_empty s.S.conflict_q then None
+    if Vec.is_empty q then None
     else
-      let cid = Vec.pop s.S.conflict_q in
+      let cid = Vec.pop q in
       Db.set_cq_mark db cid 0;
-      if not (Db.active db cid && not (Db.is_cube db cid)) then go ()
+      if not (Db.active db cid && Db.is_cube db cid = cube) then go ()
       else if Db.learned db cid then begin
-        let ue, _, fixed = S.scan_status s cid in
-        if fixed = 0 && ue = 0 then Some cid
+        let opened, fixed = S.scan_status s cid in
+        if fixed = 0 && opened = 0 then Some cid
         else begin
           S.repair_watches s cid;
           go ()
@@ -63,72 +67,21 @@ let pop_conflict s =
   in
   go ()
 
-let pop_cube_solution s =
-  let db = s.S.db in
-  let rec go () =
-    if Vec.is_empty s.S.cubesat_q then None
-    else
-      let cid = Vec.pop s.S.cubesat_q in
-      Db.set_cq_mark db cid 0;
-      if not (Db.active db cid && Db.is_cube db cid) then go ()
-      else
-        (* cubes are always learned *)
-        let _, uu, fixed = S.scan_status s cid in
-        if fixed = 0 && uu = 0 then Some cid
-        else begin
-          S.repair_watches s cid;
-          go ()
-        end
-  in
-  go ()
-
-(* The clause unit rule (Lemma 5): a clause with a single unassigned
-   existential literal [le], no true literal, and no unassigned universal
-   literal [u] with [|u| ≺ |le|] forces [le]. *)
-let try_unit_clause s cid =
-  let db = s.S.db in
-  let le = ref (-1) in
-  Db.iter_lits db cid (fun m ->
-      if S.lit_value s m < 0 && s.S.is_exist.(S.var m) then le := m);
-  let le = !le in
-  assert (le >= 0);
-  let blocked =
-    Db.exists_lit db cid (fun m ->
-        S.lit_value s m < 0
-        && (not s.S.is_exist.(S.var m))
-        && S.precedes s (S.var m) (S.var le))
-  in
-  if blocked then false
+(* The unit rule (Lemma 5): a clause with a single unassigned
+   existential literal [p], no true literal, and no unassigned universal
+   literal [u] with [|u| ≺ |p|] forces [p].  Dually, a cube with a
+   single unassigned universal literal [p], no false literal, and no
+   unassigned existential [e] with [|e| ≺ |p|] forces the universal
+   player to falsify [p]. *)
+let try_unit s cid =
+  let p = S.unit_primary s cid in
+  if p < 0 then false
   else begin
+    let l = if Db.is_cube s.S.db cid then S.neg p else p in
     s.S.stats.propagations <- s.S.stats.propagations + 1;
-    note_propagation s le;
-    S.event s (E_propagate le);
-    S.assign s le (Reason cid);
-    true
-  end
-
-(* Dual unit rule for cubes: a cube with a single unassigned universal
-   literal [lu], no false literal, and no unassigned existential [e] with
-   [|e| ≺ |lu|] forces the universal player to falsify [lu]. *)
-let try_unit_cube s cid =
-  let db = s.S.db in
-  let lu = ref (-1) in
-  Db.iter_lits db cid (fun m ->
-      if S.lit_value s m < 0 && not s.S.is_exist.(S.var m) then lu := m);
-  let lu = !lu in
-  assert (lu >= 0);
-  let blocked =
-    Db.exists_lit db cid (fun m ->
-        S.lit_value s m < 0
-        && s.S.is_exist.(S.var m)
-        && S.precedes s (S.var m) (S.var lu))
-  in
-  if blocked then false
-  else begin
-    s.S.stats.propagations <- s.S.stats.propagations + 1;
-    note_propagation s (S.neg lu);
-    S.event s (E_propagate (S.neg lu));
-    S.assign s (S.neg lu) (Reason cid);
+    note_propagation s l;
+    S.event s (E_propagate l);
+    S.assign s l (Reason cid);
     true
   end
 
@@ -143,41 +96,28 @@ let pop_unit s =
         Db.active db cid
         &&
         if Db.learned db cid then begin
-          let ue, uu, fixed = S.scan_status s cid in
+          let opened, fixed = S.scan_status s cid in
           if fixed <> 0 then begin
             S.repair_watches s cid;
             false
           end
+          else if opened = 0 then begin
+            (* became a leaf after it was queued as unit *)
+            S.push_leaf s cid;
+            false
+          end
           else
-            match Db.kind db cid with
-            | Clause_c ->
-                if ue = 0 then begin
-                  (* became conflicting after it was queued as unit *)
-                  S.push_conflict s cid;
-                  false
-                end
-                else
-                  ue = 1
-                  && (try_unit_clause s cid
-                     ||
-                     (* blocked: a compatible pair (the forced literal +
-                        its blocker) exists, rewatch on it *)
-                     (S.repair_watches s cid;
-                      false))
-            | Cube_c ->
-                if uu = 0 then begin
-                  S.push_cubesat s cid;
-                  false
-                end
-                else
-                  uu = 1
-                  && (try_unit_cube s cid
-                     || (S.repair_watches s cid;
-                         false))
+            opened = 1
+            && (try_unit s cid
+               ||
+               (* blocked: a compatible pair (the forced literal + its
+                  blocker) exists, rewatch on it *)
+               (S.repair_watches s cid;
+                false))
         end
         else
           (* an original, hence a clause *)
-          Db.fixed db cid = 0 && Db.ue db cid = 1 && try_unit_clause s cid
+          Db.fixed db cid = 0 && Db.ue db cid = 1 && try_unit s cid
       in
       fired || go ()
   in
@@ -238,12 +178,12 @@ let pop_deferred_pure s =
 let run s =
   let pure = s.S.config.search.pure_literals in
   let rec loop () =
-    match pop_conflict s with
+    match pop_leaf s ~cube:false with
     | Some cid -> P_conflict cid
     | None ->
         if s.S.unsat_originals = 0 then P_solution Cover
         else begin
-          match pop_cube_solution s with
+          match pop_leaf s ~cube:true with
           | Some cid -> P_solution (Cube cid)
           | None ->
               if pop_unit s then loop ()

@@ -6,8 +6,8 @@
 
      clear trail -> rebuild + extend prefix (if dirty)
                  -> invalidate cubes + add pending clauses (if any)
-                 -> seed activities of fresh literals
-                 -> refill discovery queues, re-seed purity
+                 -> refill discovery queues
+                 -> seed activities of fresh literals, re-seed purity
 
    Laziness matters for the DIA workload: a bound step performs a pop,
    a prefix extension and a few dozen clause additions back-to-back,
@@ -62,18 +62,10 @@ let create ?(config = default_config) ?(validate = default_validate) ?proof ()
     | Some user -> Some (fun () -> !hook () || user ())
   in
   let config = with_should_stop should_stop config in
-  (* A proof writer needs every pivot to carry a reason constraint and
-     every conclusion to come out of a resolution derivation, so
-     pure-literal fixing goes off and learning goes on for the session's
-     lifetime (the config is fixed at state creation; see Proof). *)
-  let config =
-    match proof with
-    | Some _ -> config |> with_pure_literals false |> with_learning true
-    | None -> config
-  in
+  (* a proof writer forces pure literals off and learning on for the
+     session's lifetime (State.create) *)
   let empty = Formula.make (Prefix.of_forest ~nvars:0 []) [] in
-  let state = S.create empty config in
-  (match proof with Some p -> S.attach_proof state p | None -> ());
+  let state = S.create ?proof empty config in
   {
     nodes = Vec.create dummy_node;
     roots_rev = [];
@@ -226,17 +218,11 @@ let flush t =
       (List.rev t.pending);
     t.pending <- []
   end;
-  (* Fresh literals start with activity mirroring their occurrence
-     counters (exactly the cold-start seeding); old literals keep their
-     decayed activity, which is the heuristic carry-over. *)
-  for l = 2 * t.act_watermark to (2 * s.S.nvars) - 1 do
-    let sel = if s.S.is_exist.(S.var l) then l else S.neg l in
-    s.S.act.(l) <- float_of_int s.S.counter.(sel);
-    s.S.last_counter.(l) <- s.S.counter.(sel)
-  done;
-  t.act_watermark <- s.S.nvars;
   S.requeue_all s;
-  S.reseed_pure_queue s
+  (* Fresh literals get the cold-start seeding; old literals keep their
+     decayed activity, which is the heuristic carry-over. *)
+  S.seed s ~from:t.act_watermark;
+  t.act_watermark <- s.S.nvars
 
 let solve_flushed ?should_stop t =
   let s = t.state in

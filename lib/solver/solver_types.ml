@@ -131,7 +131,6 @@ type search = {
          constraint may be undetectedly conflicting, unit, or (for
          cubes) satisfied when the engine is about to branch.  O(db)
          per decision — tests and fuzzing only *)
-  rescale_interval : int; (* variable-activity-halving period, in leaves *)
   restarts : bool; (* Luby-scheduled restarts (keep learned constraints) *)
   restart_base : int; (* leaves per Luby unit *)
   phase_saving : bool;
@@ -154,7 +153,6 @@ type search = {
 }
 
 type budgets = {
-  max_decisions : int option;
   max_nodes : int option; (* bound on conflicts + solutions *)
   should_stop : (unit -> bool) option; (* external budget, e.g. wall clock *)
   stop_flag : bool ref option;
@@ -198,7 +196,6 @@ let default_search =
     pure_literals = true;
     heuristic = Partial_order;
     debug_checks = false;
-    rescale_interval = 256;
     restarts = false;
     restart_base = 128;
     phase_saving = true;
@@ -209,7 +206,6 @@ let default_search =
 
 let default_budgets =
   {
-    max_decisions = None;
     max_nodes = None;
     should_stop = None;
     stop_flag = None;
@@ -239,9 +235,6 @@ let with_pure_literals v = with_search (fun s -> { s with pure_literals = v })
 let with_heuristic v = with_search (fun s -> { s with heuristic = v })
 let with_debug_checks v = with_search (fun s -> { s with debug_checks = v })
 
-let with_rescale_interval v =
-  with_search (fun s -> { s with rescale_interval = v })
-
 let with_restarts v = with_search (fun s -> { s with restarts = v })
 let with_restart_base v = with_search (fun s -> { s with restart_base = v })
 let with_phase_saving v = with_search (fun s -> { s with phase_saving = v })
@@ -253,7 +246,6 @@ let with_db_reduce_interval v =
 let with_db_keep_fraction v =
   with_search (fun s -> { s with db_keep_fraction = v })
 
-let with_max_decisions v = with_budgets (fun b -> { b with max_decisions = v })
 let with_max_nodes v = with_budgets (fun b -> { b with max_nodes = v })
 let with_should_stop v = with_budgets (fun b -> { b with should_stop = v })
 let with_stop_flag v = with_budgets (fun b -> { b with stop_flag = v })

@@ -149,24 +149,20 @@ let event s e =
    compared on the next push attempt.  Propagate resets the stamp when
    it pops an entry, so a constraint whose state changes again later in
    the same wave (unit first, conflicting after more assignments) is
-   re-enqueued.  [cq_mark] is shared between conflict_q and cubesat_q —
-   a constraint is a clause or a cube, never both. *)
+   re-enqueued. *)
 let push_unit s cid =
   if Db.uq_mark s.db cid <> s.qepoch then begin
     Db.set_uq_mark s.db cid s.qepoch;
     Vec.push s.unit_q cid
   end
 
-let push_conflict s cid =
+(* A leaf: a conflicting clause goes on conflict_q, a true cube on
+   cubesat_q.  [cq_mark] is shared between the two queues — a
+   constraint is a clause or a cube, never both. *)
+let push_leaf s cid =
   if Db.cq_mark s.db cid <> s.qepoch then begin
     Db.set_cq_mark s.db cid s.qepoch;
-    Vec.push s.conflict_q cid
-  end
-
-let push_cubesat s cid =
-  if Db.cq_mark s.db cid <> s.qepoch then begin
-    Db.set_cq_mark s.db cid s.qepoch;
-    Vec.push s.cubesat_q cid
+    Vec.push (if Db.is_cube s.db cid then s.cubesat_q else s.conflict_q) cid
   end
 
 (* --- purity bookkeeping ------------------------------------------------ *)
@@ -193,7 +189,7 @@ let clause_now_unsatisfied s cid =
 let check_clause_state s cid =
   if Db.fixed s.db cid = 0 then
     let ue = Db.ue s.db cid in
-    if ue = 0 then push_conflict s cid
+    if ue = 0 then push_leaf s cid
     else if ue = 1 then push_unit s cid
 
 (* --- watched literals (learned constraints) ----------------------------- *)
@@ -276,27 +272,44 @@ let set_watch_pair s cid a b =
   if b <> a && b <> old1 && b <> old2 then Vec.push (watch_list s kind b) cid
 
 (* Exact state of a watch-maintained constraint (its counter fields are
-   dead), by scanning the assignment. *)
+   dead), by scanning the assignment: [(open, fixed)] counts its
+   unassigned primaries — existentials of a clause, universals of a
+   cube — and its fixing literals — true in a clause, false in a cube.
+   With [fixed = 0], [open = 0] is a leaf (conflicting clause, true
+   cube) and [open = 1] a unit candidate. *)
 let scan_status s cid =
-  let is_cube = Db.is_cube s.db cid in
-  let ue = ref 0 and uu = ref 0 and fixed = ref 0 in
+  let cube = Db.is_cube s.db cid in
+  let opened = ref 0 and fixed = ref 0 in
   Db.iter_lits s.db cid (fun m ->
       match lit_value s m with
-      | -1 -> if s.is_exist.(var m) then incr ue else incr uu
-      | 1 -> if not is_cube then incr fixed
-      | _ -> if is_cube then incr fixed);
-  (!ue, !uu, !fixed)
+      | -1 -> if s.is_exist.(var m) <> cube then incr opened
+      | 1 -> if not cube then incr fixed
+      | _ -> if cube then incr fixed);
+  (!opened, !fixed)
+
+(* The literal the unit rule would act on — the single open primary of
+   [cid], whose state must be unit — or -1 when an unassigned secondary
+   ≺-precedes it: only such a literal blocks Lemma 5 and its dual. *)
+let unit_primary s cid =
+  let cube = Db.is_cube s.db cid in
+  let p = ref (-1) in
+  Db.iter_lits s.db cid (fun m ->
+      if lit_value s m < 0 && s.is_exist.(var m) <> cube then p := m);
+  let p = !p in
+  assert (p >= 0);
+  if
+    Db.exists_lit s.db cid (fun m ->
+        lit_value s m < 0
+        && s.is_exist.(var m) = cube
+        && precedes s (var m) (var p))
+  then -1
+  else p
 
 let classify_and_queue s cid =
-  let ue, uu, fixed = scan_status s cid in
+  let opened, fixed = scan_status s cid in
   if fixed = 0 then
-    match Db.kind s.db cid with
-    | Clause_c ->
-        if ue = 0 then push_conflict s cid
-        else if ue = 1 then push_unit s cid
-    | Cube_c ->
-        if uu = 0 then push_cubesat s cid
-        else if uu = 1 then push_unit s cid
+    if opened = 0 then push_leaf s cid
+    else if opened = 1 then push_unit s cid
 
 (* A compatible eligible watch pair cannot be found right now: flag the
    constraint and register it for post-backtrack repair.  Assignments
@@ -390,19 +403,6 @@ let visit_watchers s kind m =
    queues drained, nothing fired); the engine calls it right before
    branching.  O(db) per call, debug builds only. *)
 let find_missed_discovery s =
-  let blocked_unit cid =
-    (* the single unassigned primary is blocked by an unassigned
-       secondary that precedes it (Lemma 5 and its dual) *)
-    let is_clause = not (Db.is_cube s.db cid) in
-    let prim = ref (-1) in
-    Db.iter_lits s.db cid (fun m ->
-        if lit_value s m < 0 && s.is_exist.(var m) = is_clause then prim := m);
-    !prim >= 0
-    && Db.exists_lit s.db cid (fun m ->
-           lit_value s m < 0
-           && s.is_exist.(var m) <> is_clause
-           && precedes s (var m) (var !prim))
-  in
   let describe cid what =
     let b = Buffer.create 128 in
     Buffer.add_string b
@@ -422,16 +422,14 @@ let find_missed_discovery s =
   let missed = ref None in
   for cid = 0 to Db.size s.db - 1 do
     if !missed = None && Db.active s.db cid && Db.num_lits s.db cid > 0 then begin
-      let ue, uu, fixed = scan_status s cid in
+      let opened, fixed = scan_status s cid in
+      let cube = Db.is_cube s.db cid in
       let bad what = missed := Some (cid, describe cid what) in
       if fixed = 0 then
-        match Db.kind s.db cid with
-        | Clause_c ->
-            if ue = 0 then bad "conflicting clause"
-            else if ue = 1 && not (blocked_unit cid) then bad "unit clause"
-        | Cube_c ->
-            if uu = 0 then bad "satisfied cube"
-            else if uu = 1 && not (blocked_unit cid) then bad "unit cube"
+        if opened = 0 then
+          bad (if cube then "satisfied cube" else "conflicting clause")
+        else if opened = 1 && unit_primary s cid >= 0 then
+          bad (if cube then "unit cube" else "unit clause")
     end
   done;
   !missed
@@ -684,7 +682,57 @@ let prefix_tables prefix config =
     t_is_aux = is_aux;
   }
 
-let create formula config =
+(* Seed the search state of the variables from [from] on, once the
+   matrix is in: their literals' initial activities mirror the
+   occurrence counters, universal literals scoring by the occurrences of
+   their negation (Section VI).  Then refill the purity candidates —
+   every literal with no unsatisfied occurrence, old variables included,
+   since the candidate queue does not survive a backtrack to the empty
+   trail. *)
+let seed s ~from =
+  for l = 2 * from to (2 * s.nvars) - 1 do
+    let sel = if s.is_exist.(var l) then l else neg l in
+    s.act.(l) <- float_of_int s.counter.(sel);
+    s.last_counter.(l) <- s.counter.(sel)
+  done;
+  if s.config.search.pure_literals then
+    for l = 0 to (2 * s.nvars) - 1 do
+      if s.pos_unsat.(l) = 0 then Vec.push s.pure_q l
+    done
+
+(* Attach a trace writer before any solving ({!create}): declare the
+   current prefix and register every active original clause already in
+   the database, so every future antecedent carries a proof id.
+   Constraints added later register themselves ({!add_constraint},
+   Analyze). *)
+let attach_proof s p =
+  s.proof <- Some p;
+  for v = 0 to s.nvars - 1 do
+    Proof.declare_var p ~var:v ~exist:s.is_exist.(v) ~d:s.d.(v) ~f:s.f.(v)
+  done;
+  for cid = 0 to Db.size s.db - 1 do
+    if
+      Db.active s.db cid
+      && (not (Db.learned s.db cid))
+      && Db.pid s.db cid = 0
+    then begin
+      let pid = Proof.fresh_pid p in
+      Db.set_pid s.db cid pid;
+      Proof.input_clause p ~pid (Db.lits_list s.db cid)
+    end
+  done
+
+(* A fresh state for [formula], seeded and, given [proof], with the
+   trace writer attached.  A proof writer needs every pivot to carry a
+   reason constraint and every conclusion to come out of a resolution
+   derivation, so [proof] forces pure-literal fixing off and learning
+   on for the state's lifetime (see Proof). *)
+let create ?proof formula config =
+  let config =
+    match proof with
+    | Some _ -> config |> with_pure_literals false |> with_learning true
+    | None -> config
+  in
   let prefix = Formula.prefix formula in
   let nvars = Prefix.nvars prefix in
   let n = max nvars 1 in
@@ -747,18 +795,8 @@ let create formula config =
         let lits = Array.map (fun l -> (l : Lit.t :> int)) (Clause.lits c) in
         ignore (add_constraint s Clause_c ~learned:false lits))
     (Formula.matrix formula);
-  (* Initial activities mirror the occurrence counters; universal literals
-     score by the occurrences of their negation (Section VI). *)
-  for l = 0 to (2 * nvars) - 1 do
-    let sel = if s.is_exist.(var l) then l else neg l in
-    s.act.(l) <- float_of_int s.counter.(sel);
-    s.last_counter.(l) <- s.counter.(sel)
-  done;
-  (* Initial purity candidates: literals with no occurrence at all. *)
-  if config.search.pure_literals then
-    for l = 0 to (2 * nvars) - 1 do
-      if s.pos_unsat.(l) = 0 then Vec.push s.pure_q l
-    done;
+  seed s ~from:0;
+  (match proof with Some p -> attach_proof s p | None -> ());
   s
 
 (* Take an active constraint out of the occurrence/purity counters; the
@@ -933,13 +971,6 @@ let requeue_all s =
       else check_clause_state s cid
   done
 
-(* Re-seed purity candidates (the mirror of the loop in [create]). *)
-let reseed_pure_queue s =
-  if s.config.search.pure_literals then
-    for l = 0 to (2 * s.nvars) - 1 do
-      if s.pos_unsat.(l) = 0 then Vec.push s.pure_q l
-    done
-
 let grow_array a n fill =
   if Array.length a >= n then a
   else begin
@@ -1011,25 +1042,3 @@ let extend s prefix =
           ~f:s.f.(v)
       done
   | None -> ()
-
-(* Attach a trace writer: declare the current prefix and register every
-   active original clause already in the database.  Constraints added
-   later register themselves ({!add_constraint}, Analyze).  Must be
-   called before any solving so every future antecedent carries a proof
-   id; callers also disable pure-literal fixing (see Proof). *)
-let attach_proof s p =
-  s.proof <- Some p;
-  for v = 0 to s.nvars - 1 do
-    Proof.declare_var p ~var:v ~exist:s.is_exist.(v) ~d:s.d.(v) ~f:s.f.(v)
-  done;
-  for cid = 0 to Db.size s.db - 1 do
-    if
-      Db.active s.db cid
-      && (not (Db.learned s.db cid))
-      && Db.pid s.db cid = 0
-    then begin
-      let pid = Proof.fresh_pid p in
-      Db.set_pid s.db cid pid;
-      Proof.input_clause p ~pid (Db.lits_list s.db cid)
-    end
-  done

@@ -156,6 +156,55 @@ let test_incremental_accept () =
     end
   done
 
+(* Two fuzzer formulas (seeds 349 and 537) whose conflicts conclude at
+   level 0 through a reason clause with a trailing universal: unassigned
+   when the clause propagated, true at a deeper level by the time the
+   conclusion drains the working clause.  The drain resolves
+   syntactically, so these conclusions certify — under every
+   configuration of the fuzzer's certificate phase. *)
+let level0_formulas =
+  [
+    ( "seed 349",
+      "p cnf 8 15\ne 1 0\na 2 3 0\ne 4 5 6 0\na 7 0\ne 8 0\n1 -2 3 0\n\
+       1 2 -3 0\n-3 -4 8 0\n2 4 -6 0\n2 -6 8 0\n-5 -6 -7 0\n-2 4 -5 0\n\
+       -1 2 -5 0\n1 -2 -7 0\n-2 -5 -7 0\n4 5 7 0\n2 3 4 0\n-5 6 -8 0\n\
+       2 6 8 0\n3 -4 5 0\n" );
+    ( "seed 537",
+      "p cnf 5 8\ne 1 0\na 2 3 4 0\ne 5 0\n-1 2 -3 4 0\n1 -3 -4 5 0\n\
+       -1 -3 4 5 0\n1 2 4 -5 0\n-2 3 4 5 0\n-1 2 3 5 0\n1 -2 -4 -5 0\n\
+       -2 -3 4 5 0\n" );
+  ]
+
+let fuzz_configs =
+  List.concat_map
+    (fun h ->
+      ST.
+        [
+          default_config |> with_heuristic h;
+          default_config |> with_heuristic h |> with_learning false;
+          default_config |> with_heuristic h |> with_pure_literals false;
+          default_config |> with_heuristic h |> with_learning false
+          |> with_pure_literals false;
+          default_config |> with_heuristic h
+          |> with_aux_hint (Some (fun _ -> true));
+          default_config |> with_heuristic h |> with_restarts true
+          |> with_restart_base 2 |> with_db_reduction true;
+        ])
+    [ ST.Total_order; ST.Partial_order ]
+
+let test_level0_conclusions () =
+  List.iter
+    (fun (name, text) ->
+      let f = Qbf_io.Qdimacs.parse_string text in
+      List.iteri
+        (fun i config ->
+          ignore
+            (solve_and_check
+               (Printf.sprintf "%s config %d" name i)
+               ~config f (Eval.eval f)))
+        fuzz_configs)
+    level0_formulas
+
 (* --- hand-mutated traces ------------------------------------------- *)
 
 (* A base certificate with resolution chains and (under reduction)
@@ -364,6 +413,8 @@ let suite =
       test_families_accept;
     Alcotest.test_case "incremental session certificate" `Quick
       test_incremental_accept;
+    Alcotest.test_case "level-0 conclusions certify" `Quick
+      test_level0_conclusions;
     Alcotest.test_case "reject dropped antecedent" `Quick
       test_reject_dropped_antecedent;
     Alcotest.test_case "reject wrong pivot" `Quick test_reject_wrong_pivot;

@@ -237,6 +237,78 @@ let test_stats_deltas () =
     (r1.ST.stats.ST.conflicts + r2.ST.stats.ST.conflicts);
   Session.dispose t
 
+(* [Engine.solve] and [Session.one_shot] are documented as equivalent:
+   same outcome, same stats, and with a proof writer the same trace,
+   under both heuristics. *)
+let test_one_shot_equivalence () =
+  let gray = Qbf_models.Families.gray ~bits:2 in
+  let rng = Qbf_gen.Rng.create 4242 in
+  let random =
+    List.init 8 (fun i ->
+        let nvars = 6 + Qbf_gen.Rng.int rng 8 in
+        if i mod 2 = 0 then
+          Qbf_gen.Randqbf.tree rng ~nvars ~nclauses:(3 * nvars) ~len:3 ()
+        else
+          Qbf_gen.Randqbf.prenex rng ~nvars ~levels:(2 + (i mod 3))
+            ~nclauses:(3 * nvars) ~len:3 ~min_exists:1 ())
+  in
+  let formulas =
+    [
+      Util.paper_formula_1 ();
+      Qbf_models.Diameter.phi gray ~n:2;
+      Qbf_models.Diameter.phi gray ~n:3;
+      Qbf_models.Diameter.phi_prenex gray ~n:3;
+    ]
+    @ random
+  in
+  let read path =
+    let ic = open_in_bin path in
+    let text = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    text
+  in
+  let steps r =
+    match r.ST.witness with
+    | ST.Proof_trace { steps; _ } -> Some steps
+    | ST.No_witness -> None
+  in
+  let run solve proof_on =
+    let path = Filename.temp_file "test-one-shot" ".qrp" in
+    let proof = if proof_on then Some (Qbf_solver.Proof.create ~path) else None in
+    let r = solve ?proof () in
+    Option.iter Qbf_solver.Proof.close proof;
+    let text = read path in
+    Sys.remove path;
+    (r, text)
+  in
+  List.iteri
+    (fun i f ->
+      List.iter
+        (fun (hname, h) ->
+          List.iter
+            (fun proof_on ->
+              let config = ST.(default_config |> with_heuristic h) in
+              let name =
+                Printf.sprintf "formula %d %s proof=%b" i hname proof_on
+              in
+              let r1, t1 =
+                run
+                  (fun ?proof () -> Qbf_solver.Engine.solve ~config ?proof f)
+                  proof_on
+              and r2, t2 =
+                run (fun ?proof () -> Session.one_shot ~config ?proof f) proof_on
+              in
+              Alcotest.check Util.outcome (name ^ ": outcome") r1.ST.outcome
+                r2.ST.outcome;
+              Alcotest.(check bool) (name ^ ": stats") true
+                (r1.ST.stats = r2.ST.stats);
+              Alcotest.(check (option int))
+                (name ^ ": witness steps") (steps r1) (steps r2);
+              Alcotest.(check string) (name ^ ": trace") t1 t2)
+            [ false; true ])
+        [ ("TO", ST.Total_order); ("PO", ST.Partial_order) ])
+    formulas
+
 let suite =
   [
     Alcotest.test_case "push/pop vs oracle" `Quick test_push_pop_oracle;
@@ -250,4 +322,6 @@ let suite =
     Alcotest.test_case "validate rejects order change" `Quick
       test_validate_rejects_order_change;
     Alcotest.test_case "stats deltas" `Quick test_stats_deltas;
+    Alcotest.test_case "Engine.solve = one_shot" `Quick
+      test_one_shot_equivalence;
   ]
