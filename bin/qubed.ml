@@ -241,9 +241,11 @@ let batch_arg =
 let workers_arg =
   Arg.(value & opt int 2
     & info [ "workers" ] ~docv:"N"
-        ~doc:"Worker pool size.  $(b,0) solves in-process (no isolation, \
-              no racing) — the same degraded mode used when fork is \
-              unavailable.")
+        ~doc:"Worker pool size.  $(b,0) runs attempts in-process, one at \
+              a time (no isolation, no racing, no hang detection) but \
+              with the same retries, budget escalation and certificate \
+              checks as a pool — the same degraded mode used when fork \
+              is unavailable.")
 
 let race_arg =
   Arg.(value & opt string "po-watched,to-watched"

@@ -297,6 +297,14 @@ type worker_msg =
   | Msg_heartbeat of { hb_id : int; hb_attempt : int; hb_nodes : int }
   | Msg_stats of stats
 
+(* The forked worker's encoding of its messages; [worker_msg_of_json]
+   below is the supervisor's inverse. *)
+let json_of_worker_msg = function
+  | Msg_answer a -> json_of_answer a
+  | Msg_heartbeat { hb_id; hb_attempt; hb_nodes } ->
+      json_of_heartbeat ~id:hb_id ~attempt:hb_attempt ~nodes:hb_nodes
+  | Msg_stats st -> json_of_stats st
+
 let stats_of_json j =
   match (member_string "schema" j, member_int "v" j) with
   | Some s, _ when s <> stats_schema ->

@@ -23,8 +23,13 @@
    - results are {e memoized} by canonical formula hash, so duplicate
      instances in a batch — or re-submissions — answer from cache;
    - when [fork] is unavailable or the pool cannot be (re)populated,
-     the supervisor {e degrades} to solving in-process, slower but
-     never refusing the batch. *)
+     the supervisor {e degrades} to running attempts in-process, one at
+     a time, through the same attempt function and answer handling as a
+     forked worker: slower and unisolated, but never refusing the batch.
+
+   Every service event is counted once, in [counters]: the --summary
+   record prints it, and an attached {!Telemetry} aggregator reads the
+   same registry at dump time. *)
 
 module ST = Qbf_solver.Solver_types
 module Run = Qbf_run.Run
@@ -42,15 +47,12 @@ type policy = {
   race : string list; (* config labels raced per attempt round *)
   retries : int; (* extra rounds after the first *)
   backoff_base_s : float;
-  backoff_factor : float;
   backoff_max_s : float;
-  jitter : float; (* fraction of the delay drawn uniformly at random *)
   grace_s : float; (* SIGTERM -> SIGKILL window *)
   hang_s : float; (* heartbeat silence that declares a hang *)
   timeout_s : float option; (* batch-default per-attempt budget *)
   mem_mb : int option;
   max_nodes : int option;
-  escalate : float; (* budget multiplier after a budget-shaped failure *)
   fault_p : float; (* per-dispatch injected-fault probability *)
   cache : bool;
   stats : bool; (* workers collect + ship metrics/profile snapshots *)
@@ -69,15 +71,12 @@ let default_policy =
     race = [ "po-watched"; "to-watched" ];
     retries = 6;
     backoff_base_s = 0.05;
-    backoff_factor = 2.0;
     backoff_max_s = 2.0;
-    jitter = 0.5;
     grace_s = 1.0;
     hang_s = 2.0;
     timeout_s = None;
     mem_mb = None;
     max_nodes = None;
-    escalate = 2.0;
     fault_p = 0.0;
     cache = true;
     stats = true;
@@ -85,16 +84,23 @@ let default_policy =
     seed = 0;
   }
 
+(* The retry shape: round [n] waits [backoff_base_s * backoff_factor^(n-1)]
+   (capped at [backoff_max_s]) stretched by up to [jitter] of itself at
+   random, and a round after a budget-shaped failure multiplies the
+   budget by [escalate]. *)
+let backoff_factor = 2.0
+let jitter = 0.5
+let escalate = 2.0
+
 (* ------------------------------------------------------------------ *)
 (* Per-job reports                                                     *)
 
-(* Per-attempt engine statistics, recovered from worker stats frames
-   (or collected directly on the inline path).  Each attempt keeps its
-   latest snapshot, so even a killed attempt's partial work survives
-   into the job's report. *)
+(* Per-attempt engine statistics, recovered from stats frames.  Each
+   attempt keeps its latest snapshot, so even a killed attempt's partial
+   work survives into the job's report. *)
 type attempt_stats = {
   as_attempt : int;
-  as_pid : int; (* 0 on the inline path *)
+  as_pid : int; (* 0 for an in-process attempt *)
   as_metrics : Qbf_obs.Metrics.snapshot option;
   as_profile : Qbf_obs.Profile.snapshot option;
 }
@@ -105,7 +111,7 @@ type report = {
   r_outcome : ST.outcome;
   r_time : float; (* solve time of the winning attempt (0 if cached) *)
   r_wall : float; (* first-dispatch-to-answer wall time *)
-  r_config : string; (* winning label, or "cache" / "inline" / "" *)
+  r_config : string; (* winning label, or "cache" / "" *)
   r_attempts : int; (* dispatches sent for this job *)
   r_retries : int; (* rounds beyond the first *)
   r_failures : (string * int) list; (* failure-class counts, this job *)
@@ -210,6 +216,9 @@ type jrec = {
   mutable result : report option;
 }
 
+(* An attempt of [j] is over, whatever its result. *)
+let release j = if j.outstanding > 0 then j.outstanding <- j.outstanding - 1
+
 (* Replace-or-add the latest snapshot for an attempt (stats frames are
    cumulative: only the newest per attempt counts). *)
 let record_stats j (a : attempt_stats) =
@@ -267,6 +276,8 @@ let trace t kind ~dlevel ~plevel ~arg =
 
 let now () = Unix.gettimeofday ()
 
+let job_of t id = Array.find_opt (fun j -> j.job.Protocol.id = id) t.jobs
+
 (* ------------------------------------------------------------------ *)
 (* Spawning and despawning                                             *)
 
@@ -281,7 +292,6 @@ let spawn_worker t =
     with
     | Ok w ->
         Counters.incr t.counters "spawns";
-        tel t (fun a -> Telemetry.on_spawn a ~pid:w.Pool.pid);
         trace t Trace.Serve_spawn ~dlevel:w.Pool.pid ~plevel:0 ~arg:0;
         t.pool <- t.pool @ [ w ];
         Some w
@@ -302,6 +312,16 @@ let fill_pool t =
     ()
   done
 
+(* Every reaped worker counts under exactly one class, so that
+   spawns = reaped_clean + reaped_crash + reaped_signal + reaped_oom. *)
+let count_reap t status =
+  Counters.incr t.counters
+    (match Failure.of_process_status status with
+    | None -> "reaped_clean"
+    | Some Failure.Oom -> "reaped_oom"
+    | Some (Failure.Signalled _) -> "reaped_signal"
+    | Some _ -> "reaped_crash")
+
 let forget_worker t w =
   Pool.close_fds w;
   t.pool <- List.filter (fun x -> x != w) t.pool
@@ -321,10 +341,7 @@ let finish t j report =
           (if report.r_error <> None then "jobs_errored" else "jobs_unknown"));
     trace t Trace.Serve_result ~dlevel:0 ~plevel:j.attempts
       ~arg:j.job.Protocol.id;
-    tel t (fun a ->
-        Telemetry.on_job_done a
-          ~ok:(report.r_error = None)
-          ~latency_s:report.r_wall);
+    tel t (fun a -> Telemetry.on_job_done a ~latency_s:report.r_wall);
     t.on_report report
   end
 
@@ -382,7 +399,6 @@ let rec settle t j (report : report) =
           (fun j' ->
             if j'.state <> Done && j'.hash = Some h then begin
               Counters.incr t.counters "cache_hits";
-              tel t Telemetry.on_cache_hit;
               settle t j'
                 {
                   (base_report j') with
@@ -419,7 +435,6 @@ let attempt_failed t j cls =
   if j.state <> Done then begin
     record_failure j cls;
     Counters.incr t.counters ("failures_" ^ Failure.to_string cls);
-    tel t (fun a -> Telemetry.on_failure a cls);
     if Failure.escalates_budget cls then j.round_escalates <- true;
     match cls with
     | Failure.Input _ ->
@@ -431,19 +446,18 @@ let attempt_failed t j cls =
           else begin
             j.round <- j.round + 1;
             Counters.incr t.counters "retries";
-            tel t Telemetry.on_retry;
             if j.round_escalates then begin
-              j.budget_mult <- j.budget_mult *. t.policy.escalate;
+              j.budget_mult <- j.budget_mult *. escalate;
               Counters.incr t.counters "budget_escalations"
             end;
             j.round_escalates <- false;
             let p = t.policy in
             let base =
-              p.backoff_base_s *. (p.backoff_factor ** float_of_int (j.round - 1))
+              p.backoff_base_s *. (backoff_factor ** float_of_int (j.round - 1))
             in
             let base = Float.min base p.backoff_max_s in
             let delay =
-              base *. (1. +. (p.jitter *. Random.State.float t.rng 1.0))
+              base *. (1. +. (jitter *. Random.State.float t.rng 1.0))
             in
             j.queue <- p.race;
             j.state <- Backoff (now () +. delay);
@@ -461,6 +475,7 @@ let attempt_failed t j cls =
    re-load from the source themselves (cheaper than shipping the
    formula, and it keeps the wire format trivial). *)
 let ingest t j =
+  Counters.incr t.counters "jobs_submitted";
   let src = j.job.Protocol.source in
   let loaded =
     match src with
@@ -490,11 +505,10 @@ let try_cache t j =
     | Some h -> (
         match Cache.find t.cache h with
         | None ->
-            tel t Telemetry.on_cache_miss;
+            Counters.incr t.counters "cache_misses";
             false
         | Some e ->
             Counters.incr t.counters "cache_hits";
-            tel t Telemetry.on_cache_hit;
             finish t j
               {
                 (base_report j) with
@@ -554,6 +568,19 @@ let dispatch_for t j label =
     d_proof;
   }
 
+(* Bookkeeping for an attempt that has just left for the worker [pid]
+   (0: this process). *)
+let dispatched t j (d : Protocol.dispatch) ~pid =
+  let ts = now () in
+  if j.first_dispatch = None then j.first_dispatch <- Some ts;
+  j.outstanding <- j.outstanding + 1;
+  Counters.incr t.counters "dispatches";
+  tel t (fun a ->
+      Telemetry.on_dispatch a ~id:j.job.Protocol.id
+        ~attempt:d.Protocol.d_attempt ~pid ~queued_s:(ts -. j.ready_since));
+  trace t Trace.Serve_dispatch ~dlevel:pid ~plevel:d.Protocol.d_attempt
+    ~arg:j.job.Protocol.id
+
 (* Hand one queued attempt to [w].  A write failure means the worker
    died between select rounds: put the label back and let the reaper
    deal with the corpse. *)
@@ -561,27 +588,15 @@ let dispatch_to t w j label =
   let d = dispatch_for t j label in
   match Protocol.write_frame w.Pool.to_worker (Protocol.json_of_dispatch d) with
   | () ->
-      let ts = now () in
-      if j.first_dispatch = None then j.first_dispatch <- Some ts;
-      j.outstanding <- j.outstanding + 1;
-      w.Pool.state <- Pool.Busy (d, ts);
-      Counters.incr t.counters "dispatches";
-      tel t (fun a ->
-          Telemetry.on_dispatch a ~id:j.job.Protocol.id
-            ~attempt:d.Protocol.d_attempt ~pid:w.Pool.pid
-            ~queued_s:(ts -. j.ready_since));
-      trace t Trace.Serve_dispatch ~dlevel:w.Pool.pid ~plevel:d.Protocol.d_attempt
-        ~arg:j.job.Protocol.id;
-      true
+      w.Pool.state <- Pool.Busy (d, now ());
+      dispatched t j d ~pid:w.Pool.pid
   | exception (Unix.Unix_error _ | Sys_error _) ->
       j.attempts <- j.attempts - 1;
+      j.queue <- label :: j.queue;
       Counters.incr t.counters "dispatch_write_failures";
-      Pool.terminate ~now:(now ()) ~grace_s:t.policy.grace_s w;
-      false
+      Pool.terminate ~now:(now ()) ~grace_s:t.policy.grace_s w
 
-(* Release backoffs that have matured, then pair ready labels with idle
-   workers, jobs in submission order. *)
-let schedule t =
+let release_backoffs t =
   let ts = now () in
   Array.iter
     (fun j ->
@@ -590,7 +605,12 @@ let schedule t =
           j.state <- Ready;
           j.ready_since <- ts
       | _ -> ())
-    t.jobs;
+    t.jobs
+
+(* Release backoffs that have matured, then pair ready labels with idle
+   workers, jobs in submission order. *)
+let schedule t =
+  release_backoffs t;
   let idle () =
     List.find_opt (fun w -> w.Pool.state = Pool.Idle) t.pool
   in
@@ -603,7 +623,7 @@ let schedule t =
             match (j.queue, idle ()) with
             | label :: rest, Some w ->
                 j.queue <- rest;
-                ignore (dispatch_to t w j label : bool);
+                dispatch_to t w j label;
                 drain ()
             | _ -> ()
           in
@@ -650,67 +670,65 @@ let verify_certificate t j (a : Protocol.answer) =
                    fl.Qbf_check.Checker.line fl.Qbf_check.Checker.msg)
           | exception Sys_error msg -> Error msg))
 
-(* An answer frame from [w].  Only an answer matching the worker's
-   current assignment counts: anything else is a stale frame from a
-   cancelled attempt racing its SIGTERM, and is dropped.  Conclusive ->
-   settle the job.  Unknown -> that attempt failed (timeout / budget /
-   memory, per its stop reason); the worker survives either way and
-   returns to the pool. *)
-let handle_answer t w (a : Protocol.answer) =
-  match w.Pool.state with
-  | Pool.Busy (d, _)
-    when d.Protocol.d_job.Protocol.id = a.Protocol.a_id
-         && d.Protocol.d_attempt = a.Protocol.a_attempt -> (
-      let label = d.Protocol.d_config in
-      w.Pool.state <- Pool.Idle;
-      match
-        Array.find_opt (fun j -> j.job.Protocol.id = a.Protocol.a_id) t.jobs
-      with
-      | None -> Counters.incr t.counters "orphan_answers"
-      | Some j ->
-          if j.state <> Done then begin
-            if j.outstanding > 0 then j.outstanding <- j.outstanding - 1;
-            match (a.Protocol.a_error, a.Protocol.a_outcome) with
-            | Some msg, _ -> attempt_failed t j (Failure.Input msg)
-            | None, (ST.True | ST.False) -> (
-                match verify_certificate t j a with
-                | Error _ ->
-                    Counters.incr t.counters "proofs_rejected";
-                    attempt_failed t j Failure.Garbage
-                | Ok r_proof ->
-                    settle t j
-                      {
-                        (base_report j) with
-                        r_outcome = a.Protocol.a_outcome;
-                        r_time = a.Protocol.a_time;
-                        r_config = label;
-                        r_stopped = a.Protocol.a_stopped;
-                        r_decisions = a.Protocol.a_decisions;
-                        r_nodes = a.Protocol.a_nodes;
-                        r_proof;
-                      })
-            | None, ST.Unknown ->
-                let cls =
-                  match a.Protocol.a_stopped with
-                  | Some s -> failure_of_stopped s
-                  | None -> Failure.Resource
-                in
-                attempt_failed t j cls
-          end)
-  | _ -> Counters.incr t.counters "stale_answers"
+(* The answer to attempt [d] of [j], whether it came over a worker's
+   pipe or from an in-process attempt.  Conclusive -> spot-check the
+   certificate and settle the job.  Unknown -> that attempt failed
+   (timeout / budget / memory, per its stop reason). *)
+let handle_answer t j (d : Protocol.dispatch) (a : Protocol.answer) =
+  if j.state <> Done then begin
+    release j;
+    match (a.Protocol.a_error, a.Protocol.a_outcome) with
+    | Some msg, _ -> attempt_failed t j (Failure.Input msg)
+    | None, (ST.True | ST.False) -> (
+        match verify_certificate t j a with
+        | Error _ ->
+            Counters.incr t.counters "proofs_rejected";
+            attempt_failed t j Failure.Garbage
+        | Ok r_proof ->
+            settle t j
+              {
+                (base_report j) with
+                r_outcome = a.Protocol.a_outcome;
+                r_time = a.Protocol.a_time;
+                r_config = d.Protocol.d_config;
+                r_stopped = a.Protocol.a_stopped;
+                r_decisions = a.Protocol.a_decisions;
+                r_nodes = a.Protocol.a_nodes;
+                r_proof;
+              })
+    | None, ST.Unknown ->
+        let cls =
+          match a.Protocol.a_stopped with
+          | Some s -> failure_of_stopped s
+          | None -> Failure.Resource
+        in
+        attempt_failed t j cls
+  end
+
+(* A stats snapshot of an attempt of [j] run by [pid] (0: in-process). *)
+let handle_stats t j ~pid (st : Protocol.stats) =
+  Counters.incr t.counters "stats_frames";
+  tel t (fun a -> Telemetry.on_stats a ~pid st);
+  record_stats j
+    {
+      as_attempt = st.Protocol.st_attempt;
+      as_pid = pid;
+      as_metrics = st.Protocol.st_metrics;
+      as_profile = st.Protocol.st_profile;
+    }
+
+let handle_heartbeat t ~nodes =
+  Counters.incr t.counters "heartbeats";
+  tel t (fun a -> Telemetry.on_heartbeat a ~nodes)
 
 (* Garbage on a worker's stream: classify, poison the worker. *)
 let handle_garbage t w _msg =
   Counters.incr t.counters "garbage_frames";
   (match w.Pool.state with
   | Pool.Busy (d, _) -> (
-      match
-        Array.find_opt
-          (fun j -> j.job.Protocol.id = d.Protocol.d_job.Protocol.id)
-          t.jobs
-      with
+      match job_of t d.Protocol.d_job.Protocol.id with
       | Some j ->
-          if j.outstanding > 0 then j.outstanding <- j.outstanding - 1;
+          release j;
           attempt_failed t j Failure.Garbage
       | None -> ())
   | _ -> ());
@@ -721,8 +739,18 @@ let read_chunk = Bytes.create 65536
 
 (* Drain one readable fd: feed the decoder, pull frames.  EOF is only
    noted — the death itself is classified by the reaper, which sees the
-   exit status. *)
+   exit status.  Frames count only for the worker's current assignment
+   (stats also for its cancelled one); anything else is a stale frame
+   from a cancelled attempt racing its SIGTERM, and is dropped. *)
 let drain_worker t w =
+  let matches id attempt (d : Protocol.dispatch) =
+    d.Protocol.d_job.Protocol.id = id && d.Protocol.d_attempt = attempt
+  in
+  let current id attempt =
+    match w.Pool.state with
+    | Pool.Busy (d, _) when matches id attempt d -> Some d
+    | _ -> None
+  in
   match Unix.read w.Pool.from_worker read_chunk 0 (Bytes.length read_chunk) with
   | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
     ->
@@ -739,53 +767,34 @@ let drain_worker t w =
             match Protocol.worker_msg_of_json json with
             | Error msg -> handle_garbage t w msg
             | Ok (Protocol.Msg_heartbeat { hb_id; hb_attempt; hb_nodes }) ->
-                (match w.Pool.state with
-                | Pool.Busy (d, _)
-                  when d.Protocol.d_job.Protocol.id = hb_id
-                       && d.Protocol.d_attempt = hb_attempt ->
+                (match current hb_id hb_attempt with
+                | Some d ->
                     w.Pool.state <- Pool.Busy (d, now ());
-                    tel t (fun a -> Telemetry.on_heartbeat a ~nodes:hb_nodes)
-                | _ -> ());
+                    handle_heartbeat t ~nodes:hb_nodes
+                | None -> ());
                 pull ()
             | Ok (Protocol.Msg_stats st) ->
-                (* Accept snapshots from the current assignment AND from
-                   a cancelled one: a race loser's last snapshot is
-                   precisely the data a killed worker leaves behind. *)
-                let matches (d : Protocol.dispatch) =
-                  d.Protocol.d_job.Protocol.id = st.Protocol.st_id
-                  && d.Protocol.d_attempt = st.Protocol.st_attempt
-                in
-                let current =
-                  match w.Pool.state with
-                  | Pool.Busy (d, _) -> matches d
-                  | _ -> false
-                in
+                (* a race loser's last snapshot is precisely the data a
+                   killed worker leaves behind *)
+                let id = st.Protocol.st_id and attempt = st.Protocol.st_attempt in
                 let cancelled =
-                  match w.Pool.cancelled with
-                  | Some d -> matches d
-                  | None -> false
+                  Option.fold ~none:false ~some:(matches id attempt)
+                    w.Pool.cancelled
                 in
-                if current || cancelled then begin
-                  tel t (fun a -> Telemetry.on_stats a ~pid:w.Pool.pid st);
-                  match
-                    Array.find_opt
-                      (fun j -> j.job.Protocol.id = st.Protocol.st_id)
-                      t.jobs
-                  with
-                  | Some j ->
-                      record_stats j
-                        {
-                          as_attempt = st.Protocol.st_attempt;
-                          as_pid = w.Pool.pid;
-                          as_metrics = st.Protocol.st_metrics;
-                          as_profile = st.Protocol.st_profile;
-                        }
-                  | None -> ()
-                end
-                else Counters.incr t.counters "stale_stats";
+                (if current id attempt <> None || cancelled then
+                   Option.iter
+                     (fun j -> handle_stats t j ~pid:w.Pool.pid st)
+                     (job_of t id)
+                 else Counters.incr t.counters "stale_stats");
                 pull ()
             | Ok (Protocol.Msg_answer a) ->
-                handle_answer t w a;
+                (match current a.Protocol.a_id a.Protocol.a_attempt with
+                | Some d -> (
+                    w.Pool.state <- Pool.Idle;
+                    match job_of t a.Protocol.a_id with
+                    | Some j -> handle_answer t j d a
+                    | None -> Counters.incr t.counters "orphan_answers")
+                | None -> Counters.incr t.counters "stale_answers");
                 pull ())
       in
       pull ()
@@ -797,8 +806,7 @@ let drain_worker t w =
    from the exit status (a 0 exit with no answer is a truncated
    stream).  Cancelled workers owe nothing. *)
 let worker_died t w status =
-  tel t (fun a ->
-      Telemetry.on_reap a ~pid:w.Pool.pid (Failure.of_process_status status));
+  count_reap t status;
   (match w.Pool.state with
   | Pool.Busy (d, _) -> (
       let cls =
@@ -806,18 +814,12 @@ let worker_died t w status =
         | Some c -> c
         | None -> Failure.Truncated
       in
-      Counters.incr t.counters "worker_deaths";
-      match
-        Array.find_opt
-          (fun j -> j.job.Protocol.id = d.Protocol.d_job.Protocol.id)
-          t.jobs
-      with
+      match job_of t d.Protocol.d_job.Protocol.id with
       | Some j ->
-          if j.outstanding > 0 then j.outstanding <- j.outstanding - 1;
+          release j;
           attempt_failed t j cls
       | None -> ())
-  | Pool.Dying _ -> Counters.incr t.counters "worker_deaths"
-  | Pool.Idle -> Counters.incr t.counters "worker_deaths");
+  | Pool.Dying _ | Pool.Idle -> ());
   forget_worker t w
 
 let check_hangs t =
@@ -829,13 +831,9 @@ let check_hangs t =
           Counters.incr t.counters "hangs_detected";
           trace t Trace.Serve_kill ~dlevel:w.Pool.pid
             ~plevel:d.Protocol.d_attempt ~arg:d.Protocol.d_job.Protocol.id;
-          (match
-             Array.find_opt
-               (fun j -> j.job.Protocol.id = d.Protocol.d_job.Protocol.id)
-               t.jobs
-           with
+          (match job_of t d.Protocol.d_job.Protocol.id with
           | Some j ->
-              if j.outstanding > 0 then j.outstanding <- j.outstanding - 1;
+              release j;
               attempt_failed t j Failure.Hang
           | None -> ());
           Pool.terminate ~now:ts ~grace_s:t.policy.grace_s w)
@@ -863,108 +861,6 @@ let reap_and_respawn t ~respawn =
   if respawn then fill_pool t
 
 (* ------------------------------------------------------------------ *)
-(* In-process fallback                                                 *)
-
-(* No pool (workers = 0, or fork is refusing): solve inline, one job at
-   a time, under the same budgets.  No racing and no crash isolation —
-   but the batch still completes, which is the point. *)
-let solve_inline t j =
-  if j.state <> Done && not (try_cache t j) then begin
-    Counters.incr t.counters "inline_solves";
-    tel t Telemetry.on_inline_solve;
-    let ts = now () in
-    j.first_dispatch <- Some ts;
-    j.attempts <- j.attempts + 1;
-    let config =
-      match Worker.config_of_label (List.nth_opt t.policy.race 0 |> Option.value ~default:"po-watched") with
-      | Some c -> c
-      | None -> ST.default_config
-    in
-    (* same per-attempt collector a worker would have; pid 0 marks the
-       inline path in attempt stats and correlations *)
-    let inline_obs =
-      if t.policy.stats then
-        Some
-          (Qbf_obs.Obs.make ~metrics:(Qbf_obs.Metrics.create ())
-             ~profile:(Qbf_obs.Profile.create ()) ())
-      else None
-    in
-    let config = ST.with_obs inline_obs config in
-    let p = t.policy in
-    let job = j.job in
-    let limits =
-      Limits.make
-        ?timeout_s:
-          (match job.Protocol.timeout_s with Some _ as s -> s | None -> p.timeout_s)
-        ?mem_mb:(match job.Protocol.mem_mb with Some _ as m -> m | None -> p.mem_mb)
-        ?max_nodes:
-          (match job.Protocol.max_nodes with Some _ as n -> n | None -> p.max_nodes)
-        ~poll_interval:64 ()
-    in
-    let proof_file = proof_path_for t j in
-    match
-      match
-        Run.solve_source ~limits ?interrupt:t.interrupt ~config ?proof_file
-          job.Protocol.source
-      with
-      | r -> r
-      | exception Sys_error msg ->
-          Error
-            (Qbf_run.Run_error.Io
-               { file = Option.value ~default:"" proof_file; msg })
-    with
-    | Error e ->
-        record_failure j (Failure.Input (Qbf_run.Run_error.to_string e));
-        Counters.incr t.counters "failures_input";
-        finish t j
-          {
-            (base_report j) with
-            r_error = Some (Qbf_run.Run_error.to_string e);
-          }
-    | Ok r ->
-        (match r.Run.stopped with
-        | Some reason ->
-            record_failure j (Failure.of_stop_reason reason);
-            Counters.incr t.counters
-              ("failures_" ^ Failure.to_string (Failure.of_stop_reason reason));
-            tel t (fun a ->
-                Telemetry.on_failure a (Failure.of_stop_reason reason))
-        | None -> ());
-        if inline_obs <> None then begin
-          record_stats j
-            {
-              as_attempt = j.attempts;
-              as_pid = 0;
-              as_metrics = r.Run.metrics;
-              as_profile = r.Run.profile;
-            };
-          tel t (fun a ->
-              Telemetry.on_stats a ~pid:0
-                {
-                  Protocol.st_id = j.job.Protocol.id;
-                  st_attempt = j.attempts;
-                  st_final = true;
-                  st_metrics = r.Run.metrics;
-                  st_profile = r.Run.profile;
-                })
-        end;
-        settle t j
-          {
-            (base_report j) with
-            r_outcome = r.Run.outcome;
-            r_time = r.Run.time;
-            r_config = "inline";
-            r_stopped = Option.map Run.string_of_stop_reason r.Run.stopped;
-            r_decisions = r.Run.stats.ST.decisions;
-            r_nodes = ST.nodes r.Run.stats;
-            r_proof =
-              (match r.Run.witness with
-              | ST.Proof_trace { path; _ } -> Some path
-              | ST.No_witness -> None);
-          }
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Shutdown                                                            *)
 
 let shutdown t =
@@ -986,9 +882,7 @@ let shutdown t =
         (fun w ->
           match Pool.try_reap w with
           | Some status ->
-              tel t (fun a ->
-                  Telemetry.on_reap a ~pid:w.Pool.pid
-                    (Failure.of_process_status status));
+              count_reap t status;
               Pool.close_fds w;
               false
           | None -> true)
@@ -998,10 +892,7 @@ let shutdown t =
         List.iter
           (fun w ->
             Pool.kill_now w;
-            let status = Pool.reap w in
-            tel t (fun a ->
-                Telemetry.on_reap a ~pid:w.Pool.pid
-                  (Failure.of_process_status status));
+            count_reap t (Pool.reap w);
             Pool.close_fds w)
           t.pool;
         t.pool <- []
@@ -1051,30 +942,63 @@ let abandon_unfinished t =
           })
     t.jobs
 
-let run_pooled t =
+(* One round of the pool: dispatch, wait for frames, police hangs, reap
+   and respawn. *)
+let step_pooled t =
+  schedule t;
+  let fds =
+    List.filter_map
+      (fun w -> if w.Pool.eof then None else Some w.Pool.from_worker)
+      t.pool
+  in
+  (match Unix.select fds [] [] (select_timeout t) with
+  | readable, _, _ ->
+      List.iter
+        (fun w -> if List.memq w.Pool.from_worker readable then drain_worker t w)
+        t.pool
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+  check_hangs t;
+  reap_and_respawn t ~respawn:(not (all_done t))
+
+(* With no pool (workers = 0, or fork refusing), the next queued attempt
+   in job order runs in this process through the worker's own
+   {!Worker.run_attempt}, and its frames and answer reach the same
+   handlers as a forked worker's: budgets, certificate checks, retries
+   and escalation all apply.  Lost are isolation, racing (a round's
+   labels run one after another) and hang detection.  With nothing
+   ready, wait for the earliest backoff. *)
+let step_in_process t =
+  release_backoffs t;
+  match Array.find_opt (fun j -> j.state = Ready && j.queue <> []) t.jobs with
+  | None -> (
+      try Unix.sleepf (select_timeout t)
+      with Unix.Unix_error (Unix.EINTR, _, _) -> ())
+  | Some j when try_cache t j -> ()
+  | Some ({ queue = label :: rest; _ } as j) ->
+      j.queue <- rest;
+      let d = dispatch_for t j label in
+      Counters.incr t.counters "inline_solves";
+      dispatched t j d ~pid:0;
+      let emit = function
+        | Protocol.Msg_heartbeat { hb_nodes; _ } ->
+            handle_heartbeat t ~nodes:hb_nodes
+        | Protocol.Msg_stats st -> handle_stats t j ~pid:0 st
+        | Protocol.Msg_answer _ -> ()
+      in
+      let a =
+        Worker.run_attempt ?interrupt:t.interrupt ~emit ~stats:t.policy.stats d
+      in
+      (* an attempt the batch interrupt cut short is not the job's
+         failure: the job is abandoned with the rest of the batch *)
+      if a.Protocol.a_outcome = ST.Unknown && interrupted t then release j
+      else handle_answer t j d a
+  | Some _ -> ()
+
+let run_batch t =
   fill_pool t;
   while not (all_done t) && not (interrupted t) do
-    if t.pool = [] && t.fork_broken then
-      (* degraded mode: no processes to be had *)
-      Array.iter (fun j -> solve_inline t j) t.jobs
-    else begin
-      schedule t;
-      let fds =
-        List.filter_map
-          (fun w -> if w.Pool.eof then None else Some w.Pool.from_worker)
-          t.pool
-      in
-      (match Unix.select fds [] [] (select_timeout t) with
-      | readable, _, _ ->
-          List.iter
-            (fun w ->
-              if List.memq w.Pool.from_worker readable then drain_worker t w)
-            t.pool
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      check_hangs t;
-      reap_and_respawn t ~respawn:(not (all_done t));
-      tel t (fun a -> Telemetry.tick a)
-    end
+    if t.pool = [] && t.fork_broken then step_in_process t else step_pooled t;
+    tel t (fun a -> Telemetry.tick a)
   done;
   abandon_unfinished t;
   shutdown t
@@ -1082,17 +1006,21 @@ let run_pooled t =
 let run ?(policy = default_policy) ?(obs = Qbf_obs.Obs.none) ?interrupt
     ?telemetry ?on_report jobs =
   let t0 = now () in
-  (match telemetry with
-  | Some a -> Telemetry.init_families a
-  | None -> ());
   (* A worker can die between select and our write to it; the EPIPE is
      handled, the signal must not kill us. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
+  (* Touched up front so a quiet batch still shows every summary key and
+     every term of the telemetry reconciliations (a missing counter and
+     a zero counter must read the same). *)
   let counters = Counters.create () in
   List.iter (fun l -> Counters.touch counters ("failures_" ^ l)) Failure.all_labels;
   List.iter (Counters.touch counters)
-    [ "dispatches"; "retries"; "spawns"; "cache_hits"; "inline_solves" ];
+    [ "dispatches"; "retries"; "spawns"; "reaped_clean"; "reaped_crash";
+      "reaped_signal"; "reaped_oom"; "jobs_submitted"; "jobs_decided";
+      "jobs_unknown"; "jobs_errored"; "cache_hits"; "cache_misses";
+      "inline_solves" ];
+  Option.iter (fun a -> Telemetry.attach a counters) telemetry;
   let t =
     {
       policy;
@@ -1132,22 +1060,13 @@ let run ?(policy = default_policy) ?(obs = Qbf_obs.Obs.none) ?interrupt
       telemetry;
     }
   in
-  Array.iter
-    (fun j ->
-      tel t Telemetry.on_job_submitted;
-      ingest t j)
-    t.jobs;
-  if t.fork_broken then begin
-    Array.iter (fun j -> if not (interrupted t) then solve_inline t j) t.jobs;
-    abandon_unfinished t
-  end
-  else run_pooled t;
+  Array.iter (ingest t) t.jobs;
+  run_batch t;
   let out =
     Array.to_list t.jobs
     |> List.filter_map (fun j -> j.result)
     |> List.sort (fun a b -> compare a.r_id b.r_id)
   in
-  Counters.set t.counters "cache_misses" (Cache.misses t.cache);
   let decided =
     List.length (List.filter (fun r -> r.r_outcome <> ST.Unknown) out)
   in

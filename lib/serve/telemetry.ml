@@ -2,22 +2,24 @@
 
    Workers die — that is the design — so their in-process `lib/obs`
    registries die with them.  This module is where their statistics
-   survive: the supervisor feeds every lifecycle event (spawn, reap by
-   failure class, dispatch, retry, cache hit/miss, heartbeat) and every
+   survive: the supervisor feeds every dispatch, heartbeat and
    worker-shipped stats frame into one aggregator, which merges them
    into service-level series:
 
    - per-job latency and queue-wait log2 histograms;
-   - retry and failure-class counters (classes from Qbf_run.Failure);
-   - cache hit/miss counters;
-   - worker lifecycle counters obeying the reconciliation invariant
-       spawned = reaped_clean + reaped_crash + reaped_signal + reaped_oom
-     (every spawned pid is accounted for by exactly one reap class);
    - merged engine metrics (backjump/decision-depth histograms, counter
      sums) and merged phase profiles across all worker attempts;
    - progress rate from heartbeat node deltas;
    - correlation ids (job id, attempt, pid) linking each aggregated
      attempt back to per-worker JSONL trace files.
+
+   Event counts are not kept here.  The supervisor counts every service
+   event once, in its {!Qbf_obs.Counters} registry (the one --summary
+   prints); {!attach} hands that registry over and every dump reads it,
+   so the summary and the telemetry document cannot disagree.  Two
+   reconciliations must hold over it at the end of a batch:
+       spawns = reaped_clean + reaped_crash + reaped_signal + reaped_oom
+       jobs_submitted = jobs_decided + jobs_unknown + jobs_errored
 
    Exposition is dual-format: a JSON document (schema-versioned, the
    machine-readable artifact qtop and trace_stat consume) and
@@ -33,16 +35,17 @@
 module Json = Qbf_obs.Json
 module Metrics = Qbf_obs.Metrics
 module Profile = Qbf_obs.Profile
+module Counters = Qbf_obs.Counters
 
 let schema = "qubed-telemetry"
-let schema_version = 1
+let schema_version = 2
 
 (* ------------------------------------------------------------------ *)
 (* Aggregator state                                                    *)
 
 type t = {
   started_at : float;
-  counters : (string, int ref) Hashtbl.t;
+  mutable counters : Counters.t; (* the supervisor's, once attached *)
   latency_h : Metrics.hist; (* per-job wall time, ms *)
   queue_wait_h : Metrics.hist; (* dispatch delay from ready to worker, ms *)
   attempt_stats : (int * int, Protocol.stats * int) Hashtbl.t;
@@ -59,7 +62,7 @@ type t = {
 let create ?(now = Unix.gettimeofday ()) () =
   {
     started_at = now;
-    counters = Hashtbl.create 32;
+    counters = Counters.create ();
     latency_h = Metrics.hist_create ();
     queue_wait_h = Metrics.hist_create ();
     attempt_stats = Hashtbl.create 64;
@@ -70,87 +73,26 @@ let create ?(now = Unix.gettimeofday ()) () =
     last_write = now;
   }
 
-let counter t name =
-  match Hashtbl.find_opt t.counters name with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.add t.counters name r;
-      r
-
-let bump ?(by = 1) t name = counter t name := !(counter t name) + by
-let get t name = match Hashtbl.find_opt t.counters name with
-  | Some r -> !r
-  | None -> 0
-
-(* Touch the lifecycle families up front so a telemetry file from a
-   quiet run still shows every reconciliation term (a missing counter
-   and a zero counter must read the same). *)
-let lifecycle_names =
-  [ "workers_spawned"; "workers_reaped_clean"; "workers_reaped_crash";
-    "workers_reaped_signal"; "workers_reaped_oom" ]
-
-let init_families t =
-  List.iter (fun n -> ignore (counter t n)) lifecycle_names;
-  List.iter
-    (fun n -> ignore (counter t n))
-    [ "jobs_submitted"; "jobs_completed"; "jobs_failed"; "attempts_dispatched";
-      "retries"; "cache_hits"; "cache_misses"; "heartbeats"; "stats_frames";
-      "inline_solves" ];
-  List.iter
-    (fun label -> ignore (counter t ("failures_" ^ label)))
-    Qbf_run.Failure.all_labels
+(* Read event counts from [counters] from now on. *)
+let attach t counters = t.counters <- counters
 
 (* ------------------------------------------------------------------ *)
 (* Event hooks (called by the supervisor; plain arguments only, so this
    module never depends on Supervisor's types)                          *)
 
-let on_spawn t ~pid:_ = bump t "workers_spawned"
-
-(* [failure = None] is a clean exit; the classes mirror
-   Failure.of_process_status so the reconciliation terms line up with
-   the supervisor's own failure accounting. *)
-let on_reap t ~pid:_ (failure : Qbf_run.Failure.t option) =
-  let cls =
-    match failure with
-    | None -> "clean"
-    | Some Qbf_run.Failure.Oom -> "oom"
-    | Some (Qbf_run.Failure.Signalled _) -> "signal"
-    | Some _ -> "crash"
-  in
-  bump t ("workers_reaped_" ^ cls)
-
-let on_job_submitted t = bump t "jobs_submitted"
-
 let on_dispatch t ~id ~attempt ~pid ~queued_s =
-  bump t "attempts_dispatched";
   Metrics.hist_add t.queue_wait_h
     (int_of_float (Float.max 0. (queued_s *. 1000.)));
   t.correlations <- (id, attempt, pid) :: t.correlations
 
-let on_retry t = bump t "retries"
-
-let on_failure t (f : Qbf_run.Failure.t) =
-  bump t ("failures_" ^ Qbf_run.Failure.to_string f)
-
-let on_cache_hit t = bump t "cache_hits"
-let on_cache_miss t = bump t "cache_misses"
-
-let on_heartbeat t ~nodes =
-  bump t "heartbeats";
-  t.hb_nodes <- t.hb_nodes + nodes
+let on_heartbeat t ~nodes = t.hb_nodes <- t.hb_nodes + nodes
 
 let on_stats t ~pid (st : Protocol.stats) =
-  bump t "stats_frames";
   Hashtbl.replace t.attempt_stats (st.Protocol.st_id, st.Protocol.st_attempt)
     (st, pid)
 
-let on_inline_solve t = bump t "inline_solves"
-
-(* A job settled: [ok] when it produced a report, latency from
-   submission to settlement. *)
-let on_job_done t ~ok ~latency_s =
-  bump t (if ok then "jobs_completed" else "jobs_failed");
+(* A job settled, [latency_s] after its first dispatch. *)
+let on_job_done t ~latency_s =
   Metrics.hist_add t.latency_h
     (int_of_float (Float.max 0. (latency_s *. 1000.)))
 
@@ -179,17 +121,11 @@ let merged_profile t =
           | Some acc -> Some (Profile.merge_snapshot acc p)))
     t.attempt_stats None
 
-let lifecycle_reconciles t =
-  get t "workers_spawned"
-  = get t "workers_reaped_clean" + get t "workers_reaped_crash"
-    + get t "workers_reaped_signal" + get t "workers_reaped_oom"
-
 (* ------------------------------------------------------------------ *)
 (* JSON exposition                                                     *)
 
 let sorted_counters t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counters []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  List.sort (fun (a, _) (b, _) -> compare a b) (Counters.snapshot t.counters)
 
 let to_json ?(now = Unix.gettimeofday ()) t =
   let correlations =
@@ -315,29 +251,33 @@ let check_json j =
                  schema_version)
     | _ -> Error "missing schema/v"
   in
-  let* spawned = counter "workers_spawned" in
-  let* clean = counter "workers_reaped_clean" in
-  let* crash = counter "workers_reaped_crash" in
-  let* signal = counter "workers_reaped_signal" in
-  let* oom = counter "workers_reaped_oom" in
+  let* spawns = counter "spawns" in
+  let* clean = counter "reaped_clean" in
+  let* crash = counter "reaped_crash" in
+  let* signal = counter "reaped_signal" in
+  let* oom = counter "reaped_oom" in
   let* () =
-    if spawned = clean + crash + signal + oom then Ok ()
+    if spawns = clean + crash + signal + oom then Ok ()
     else
       Error
         (Printf.sprintf
-           "lifecycle does not reconcile: spawned %d <> clean %d + crash %d + \
+           "lifecycle does not reconcile: spawns %d <> clean %d + crash %d + \
             signal %d + oom %d"
-           spawned clean crash signal oom)
+           spawns clean crash signal oom)
   in
   let* submitted = counter "jobs_submitted" in
-  let* completed = counter "jobs_completed" in
-  let* failed = counter "jobs_failed" in
+  let* decided = counter "jobs_decided" in
+  let* unknown = counter "jobs_unknown" in
+  let* errored = counter "jobs_errored" in
+  let settled = decided + unknown + errored in
   let* () =
-    if submitted = completed + failed then Ok ()
+    if submitted = settled then Ok ()
     else
       Error
-        (Printf.sprintf "jobs do not reconcile: submitted %d <> done %d + failed %d"
-           submitted completed failed)
+        (Printf.sprintf
+           "jobs do not reconcile: submitted %d <> decided %d + unknown %d + \
+            errored %d"
+           submitted decided unknown errored)
   in
   (* the latency histogram must account for exactly the settled jobs *)
   let* () =
@@ -347,11 +287,11 @@ let check_json j =
         match Metrics.hist_of_json h with
         | Error m -> Error ("latency_ms: " ^ m)
         | Ok hs ->
-            if hs.Metrics.count = completed + failed then Ok ()
+            if hs.Metrics.count = settled then Ok ()
             else
               Error
                 (Printf.sprintf
                    "latency histogram count %d <> settled jobs %d"
-                   hs.Metrics.count (completed + failed)))
+                   hs.Metrics.count settled))
   in
   Ok ()

@@ -10,9 +10,10 @@
       garbage), drawn from a per-worker seeded RNG so fault runs are
       reproducible — this is how the supervisor's recovery paths get
       exercised in CI and the fuzzer;
-   3. solves through Qbf_run.Run.solve_source under the job's limits,
-      sending heartbeat frames from inside the engine's budget poll so
-      the supervisor can tell "still searching" from "wedged";
+   3. runs the attempt ({!run_attempt}, which the supervisor's
+      in-process mode shares) under the job's limits, sending heartbeat
+      frames from inside the engine's budget poll so the supervisor can
+      tell "still searching" from "wedged";
    4. writes one result frame and loops.
 
    Workers never touch stdout/stderr (the supervisor owns them) and
@@ -115,7 +116,12 @@ let answer_of_report ~id ~attempt (r : Run.report) =
     a_error = None;
   }
 
-let solve_dispatch ~out ~stats (d : Protocol.dispatch) =
+(* One attempt, free of pipes: [emit] is the frame sink for heartbeats
+   and stats snapshots, and the answer is returned.  A forked worker's
+   sink writes frames to its result pipe; the supervisor's in-process
+   loop passes a sink that feeds the same handlers the pipe frames
+   reach, along with the batch's [interrupt]. *)
+let run_attempt ?interrupt ~emit ~stats (d : Protocol.dispatch) =
   let job = d.Protocol.d_job in
   let id = job.Protocol.id and attempt = d.Protocol.d_attempt in
   let config =
@@ -126,8 +132,8 @@ let solve_dispatch ~out ~stats (d : Protocol.dispatch) =
   (* With telemetry on, the attempt gets a fresh collector: metrics for
      the engine registry, profile for the phase spans.  Snapshots of it
      ride the heartbeat path periodically and a final one precedes the
-     answer frame, so the supervisor has per-attempt engine statistics
-     even for a worker it later kills. *)
+     answer, so the supervisor has per-attempt engine statistics even
+     for a worker it later kills. *)
   let obs =
     if stats then
       Some
@@ -144,17 +150,20 @@ let solve_dispatch ~out ~stats (d : Protocol.dispatch) =
     match obs with
     | None -> ()
     | Some o ->
-        let metrics = Some (Qbf_obs.Metrics.snapshot o.Qbf_obs.Obs.metrics) in
-        let profile = Some (Qbf_obs.Profile.snapshot o.Qbf_obs.Obs.profile) in
-        Protocol.write_frame out
-          (Protocol.json_of_stats
+        emit
+          (Protocol.Msg_stats
              {
                Protocol.st_id = id;
                st_attempt = attempt;
                st_final = final;
-               st_metrics = metrics;
-               st_profile = profile;
+               st_metrics = Some (Qbf_obs.Metrics.snapshot o.Qbf_obs.Obs.metrics);
+               st_profile = Some (Qbf_obs.Profile.snapshot o.Qbf_obs.Obs.profile);
              })
+  in
+  let heartbeat nodes =
+    emit
+      (Protocol.Msg_heartbeat
+         { hb_id = id; hb_attempt = attempt; hb_nodes = nodes })
   in
   (* Heartbeats ride the engine's budget poll: every [stop_interval]
      budget checks the engine calls [should_stop], and we piggyback a
@@ -162,7 +171,7 @@ let solve_dispatch ~out ~stats (d : Protocol.dispatch) =
      carrying the nodes searched since the previous beat (progress
      rate, so the supervisor can tell slow from wedged).  The first
      beat is sent before the solve so even a long parse is covered. *)
-  Protocol.write_frame out (Protocol.json_of_heartbeat ~id ~attempt ~nodes:0);
+  heartbeat 0;
   let last_beat = ref (Unix.gettimeofday ()) in
   let last_stats = ref !last_beat in
   let beat_nodes = ref 0 in
@@ -171,10 +180,8 @@ let solve_dispatch ~out ~stats (d : Protocol.dispatch) =
     if now -. !last_beat >= heartbeat_interval_s then begin
       last_beat := now;
       let total = live_nodes () in
-      let delta = total - !beat_nodes in
+      heartbeat (total - !beat_nodes);
       beat_nodes := total;
-      Protocol.write_frame out
-        (Protocol.json_of_heartbeat ~id ~attempt ~nodes:delta);
       if obs <> None && now -. !last_stats >= stats_interval_s then begin
         last_stats := now;
         send_stats ~final:false
@@ -208,7 +215,7 @@ let solve_dispatch ~out ~stats (d : Protocol.dispatch) =
     (* [Sys_error] covers an unwritable proof path: the supervisor chose
        it, so report it as a job error rather than dying on it. *)
     match
-      Run.solve_source ~limits ~config ?proof_file:d.Protocol.d_proof
+      Run.solve_source ~limits ?interrupt ~config ?proof_file:d.Protocol.d_proof
         job.Protocol.source
     with
     | Ok report -> answer_of_report ~id ~attempt report
@@ -247,10 +254,11 @@ let main ~input ~output ?(stats = true) ~fault_p ~seed () =
             (match draw_fault rng fault_p with
             | Some f -> perform_fault output f
             | None -> ());
-            let answer = solve_dispatch ~out:output ~stats d in
-            (match
-               Protocol.write_frame output (Protocol.json_of_answer answer)
-             with
+            let emit m =
+              Protocol.write_frame output (Protocol.json_of_worker_msg m)
+            in
+            let answer = run_attempt ~emit ~stats d in
+            (match emit (Protocol.Msg_answer answer) with
             | () -> ()
             | exception Unix.Unix_error _ ->
                 (* supervisor went away or cancelled us; nothing to say *)

@@ -196,8 +196,7 @@ let test_cache_basics () =
   Cache.add c "k4" { Cache.outcome = ST.False; solve_time = 0.1 };
   Alcotest.(check int) "bounded" 2 (Cache.size c);
   Alcotest.(check bool) "oldest evicted" true (Cache.find c "k1" = None);
-  Alcotest.(check bool) "newest kept" true (Cache.find c "k4" <> None);
-  Alcotest.(check int) "hits counted" 2 (Cache.hits c)
+  Alcotest.(check bool) "newest kept" true (Cache.find c "k4" <> None)
 
 (* ------------------------------------------------------------------ *)
 (* Failure classification                                              *)
@@ -255,6 +254,8 @@ let test_supervisor_clean_batch () =
   let r2 = List.nth reports 2 in
   Alcotest.(check bool) "duplicate served from cache" true
     r2.Supervisor.r_cached;
+  Alcotest.(check int) "cache hit counted" 1
+    (List.assoc "cache_hits" summary.Supervisor.s_counters);
   List.iter
     (fun r ->
       Alcotest.(check bool) "no failures on a clean run" true
@@ -269,7 +270,27 @@ let test_supervisor_inline_fallback () =
   Alcotest.(check bool) "answers survive degradation" true
     (outcomes reports = [ (0, ST.True); (1, ST.False) ]);
   Alcotest.(check bool) "inline solves accounted" true
-    (List.assoc "inline_solves" summary.Supervisor.s_counters > 0)
+    (List.assoc "inline_solves" summary.Supervisor.s_counters > 0);
+  (* in-process attempts take the pooled answer path: every conclusive
+     answer's certificate is checked, under the attempt's own name *)
+  let dir = Filename.temp_dir "test-serve-proofs" "" in
+  let policy = { policy with Supervisor.proof_dir = Some dir } in
+  let reports, summary = Supervisor.run ~policy jobs in
+  Alcotest.(check int) "all decided" 2 summary.Supervisor.s_decided;
+  List.iter
+    (fun r ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "job %d certificate checked" r.Supervisor.r_id)
+        (Some
+           (Filename.concat dir
+              (Printf.sprintf "job%d-a1.qrp" r.Supervisor.r_id)))
+        r.Supervisor.r_proof)
+    reports;
+  Alcotest.(check (option int)) "proofs_checked = decided"
+    (Some summary.Supervisor.s_decided)
+    (List.assoc_opt "proofs_checked" summary.Supervisor.s_counters);
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
 
 let test_supervisor_input_error () =
   let jobs =

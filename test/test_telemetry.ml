@@ -1,9 +1,10 @@
 (* Service telemetry (Qbf_serve.Telemetry + the obs snapshot algebra):
    snapshot merging must be associative and commutative, the Prometheus
    encoders must emit grammatically valid text exposition, stats frames
-   must roundtrip the wire, and a fault-injected supervised batch must
+   must roundtrip the wire, a fault-injected supervised batch must
    produce telemetry whose worker-lifecycle counters account for every
-   spawned worker. *)
+   spawned worker, and the telemetry document must carry the summary's
+   counters unchanged. *)
 
 module ST = Qbf_solver.Solver_types
 module Json = Qbf_obs.Json
@@ -12,6 +13,16 @@ module Profile = Qbf_obs.Profile
 module Protocol = Qbf_serve.Protocol
 module Supervisor = Qbf_serve.Supervisor
 module Telemetry = Qbf_serve.Telemetry
+module Counters = Qbf_obs.Counters
+
+(* A registry holding every term of the two reconciliations, all zero:
+   what the supervisor touches at the start of a batch. *)
+let ledger () =
+  let c = Counters.create () in
+  List.iter (Counters.touch c)
+    [ "spawns"; "reaped_clean"; "reaped_crash"; "reaped_signal"; "reaped_oom";
+      "jobs_submitted"; "jobs_decided"; "jobs_unknown"; "jobs_errored" ];
+  c
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot construction *)
@@ -133,8 +144,10 @@ let test_prometheus_grammar () =
   | Error m -> Alcotest.failf "engine exposition fails grammar: %s" m);
   (* the aggregator's full exposition too, including label escaping *)
   let t = Telemetry.create () in
-  Telemetry.init_families t;
-  Telemetry.on_spawn t ~pid:42;
+  let c = ledger () in
+  Telemetry.attach t c;
+  Counters.incr c "spawns";
+  Counters.incr c "dispatches";
   Telemetry.on_dispatch t ~id:0 ~attempt:1 ~pid:42 ~queued_s:0.003;
   Telemetry.on_stats t ~pid:42
     {
@@ -145,8 +158,9 @@ let test_prometheus_grammar () =
       st_profile =
         Some [ { Profile.phase = "solve"; calls = 1; wall_s = 0.1; cpu_s = 0.1 } ];
     };
-  Telemetry.on_job_done t ~ok:true ~latency_s:0.05;
-  Telemetry.on_reap t ~pid:42 None;
+  Counters.incr c "jobs_decided";
+  Telemetry.on_job_done t ~latency_s:0.05;
+  Counters.incr c "reaped_clean";
   match Metrics.prom_check_text (Telemetry.to_prometheus t) with
   | Ok () -> ()
   | Error m -> Alcotest.failf "telemetry exposition fails grammar: %s" m
@@ -237,11 +251,13 @@ let run_with_telemetry ~fault_p ~seed texts =
       seed;
     }
   in
-  let reports, _ = Supervisor.run ~policy ~telemetry:tel (inline_jobs texts) in
-  (tel, reports)
+  let reports, summary =
+    Supervisor.run ~policy ~telemetry:tel (inline_jobs texts)
+  in
+  (tel, reports, summary)
 
 let test_clean_batch_reconciles () =
-  let tel, reports =
+  let tel, reports, _ =
     run_with_telemetry ~fault_p:0.0 ~seed:1 [ true_qbf; false_qbf ]
   in
   Alcotest.(check int) "both reported" 2 (List.length reports);
@@ -254,7 +270,7 @@ let test_faulty_batch_reconciles () =
      clean + crash + signal + oom exactly, and the latency histogram
      accounts for every settled job — validated by the same check qtop
      --check runs *)
-  let tel, reports =
+  let tel, reports, _ =
     run_with_telemetry ~fault_p:0.3 ~seed:5
       [ true_qbf; false_qbf; true_qbf; false_qbf ]
   in
@@ -273,21 +289,53 @@ let test_faulty_batch_reconciles () =
     | None -> 0
   in
   Alcotest.(check bool) "workers were spawned" true
-    (counter "workers_spawned" > 0);
+    (counter "spawns" > 0);
   Alcotest.(check bool) "merged engine stats present" true
     (Json.member "engine" j <> Some Json.Null)
 
 let test_check_catches_lost_worker () =
-  (* a spawn without a matching reap must fail validation *)
-  let tel = Telemetry.create () in
-  Telemetry.init_families tel;
-  Telemetry.on_spawn tel ~pid:1;
-  match Telemetry.check_json (Telemetry.to_json tel) with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "lost worker passed reconciliation"
+  (* a spawn without a matching reap, or a submitted job that never
+     settled, must fail validation *)
+  List.iter
+    (fun (what, name) ->
+      let tel = Telemetry.create () in
+      let c = ledger () in
+      Telemetry.attach tel c;
+      (match Telemetry.check_json (Telemetry.to_json tel) with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "empty ledger rejected: %s" m);
+      Counters.incr c name;
+      match Telemetry.check_json (Telemetry.to_json tel) with
+      | Error _ -> ()
+      | Ok () -> Alcotest.failf "%s passed reconciliation" what)
+    [ ("lost worker", "spawns"); ("unsettled job", "jobs_submitted") ]
+
+let test_summary_matches_telemetry () =
+  (* one registry: every counter of --summary reads the same in the
+     telemetry document, including the ingest-time input failure and
+     the duplicate's cache hit *)
+  let tel, reports, summary =
+    run_with_telemetry ~fault_p:0.0 ~seed:4
+      [ "p cnf garbage header"; true_qbf; true_qbf ]
+  in
+  Alcotest.(check int) "every job reported" 3 (List.length reports);
+  let doc = Telemetry.to_json tel in
+  (match Telemetry.check_json doc with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "telemetry invalid: %s" m);
+  let counters = Option.get (Json.member "counters" doc) in
+  List.iter
+    (fun (k, v) ->
+      Alcotest.(check (option int))
+        (k ^ " agrees") (Some v)
+        (Option.bind (Json.member k counters) Json.to_int_opt))
+    summary.Supervisor.s_counters;
+  let get k = List.assoc k summary.Supervisor.s_counters in
+  Alcotest.(check int) "failures_input" 1 (get "failures_input");
+  Alcotest.(check int) "cache_hits" 1 (get "cache_hits")
 
 let test_per_attempt_stats_in_reports () =
-  let tel, reports =
+  let tel, reports, _ =
     run_with_telemetry ~fault_p:0.0 ~seed:2 [ true_qbf ]
   in
   ignore tel;
@@ -325,4 +373,6 @@ let suite =
       test_check_catches_lost_worker;
     Alcotest.test_case "reports carry per-attempt stats" `Quick
       test_per_attempt_stats_in_reports;
+    Alcotest.test_case "summary matches telemetry" `Quick
+      test_summary_matches_telemetry;
   ]

@@ -9,11 +9,13 @@
    histograms, failure mix, cache rate, worker lifecycle, and a digest
    of the merged engine metrics.  --watch S re-reads and re-renders
    every S seconds until interrupted — `top` for the solving service.
-   --check validates instead of rendering: schema, lifecycle
-   reconciliation (spawned = clean + crash + signal + oom), latency
-   histogram consistency, and — when FILE.prom exists — the Prometheus
-   line grammar of the text exposition; exits nonzero on the first
-   violation, which is what CI runs. *)
+   --check validates instead of rendering: schema v2, lifecycle
+   reconciliation (spawns = reaped_clean + reaped_crash + reaped_signal
+   + reaped_oom), job reconciliation (jobs_submitted = jobs_decided +
+   jobs_unknown + jobs_errored), latency histogram consistency, and —
+   when FILE.prom exists — the Prometheus line grammar of the text
+   exposition; exits nonzero on the first violation, which is what CI
+   runs. *)
 
 module Json = Qbf_obs.Json
 module Metrics = Qbf_obs.Metrics
@@ -57,12 +59,14 @@ let render j =
   let uptime =
     match member_float "uptime_s" j with Some u -> u | None -> 0.
   in
-  let completed = counter j "jobs_completed" in
-  let failed = counter j "jobs_failed" in
-  let submitted = counter j "jobs_submitted" in
-  Printf.printf "uptime %.1fs   jobs %d/%d settled (%d failed)   %.1f jobs/s\n"
-    uptime (completed + failed) submitted failed
-    (if uptime > 0. then float_of_int (completed + failed) /. uptime else 0.);
+  let settled =
+    counter j "jobs_decided" + counter j "jobs_unknown" + counter j "jobs_errored"
+  in
+  Printf.printf
+    "uptime %.1fs   jobs %d/%d settled (%d unknown, %d errored)   %.1f jobs/s\n"
+    uptime settled (counter j "jobs_submitted") (counter j "jobs_unknown")
+    (counter j "jobs_errored")
+    (if uptime > 0. then float_of_int settled /. uptime else 0.);
   (match hist j "latency_ms" with
   | Some h when h.Metrics.count > 0 ->
       Printf.printf
@@ -78,14 +82,12 @@ let render j =
         (Metrics.hist_percentile h 0.95)
         h.Metrics.count
   | _ -> ());
-  let spawned = counter j "workers_spawned" in
   Printf.printf
-    "workers   spawned %d = clean %d + crash %d + signal %d + oom %d\n"
-    spawned
-    (counter j "workers_reaped_clean")
-    (counter j "workers_reaped_crash")
-    (counter j "workers_reaped_signal")
-    (counter j "workers_reaped_oom");
+    "workers   spawned %d = clean %d + crash %d + signal %d + oom %d   \
+     (%d attempts in-process)\n"
+    (counter j "spawns") (counter j "reaped_clean") (counter j "reaped_crash")
+    (counter j "reaped_signal") (counter j "reaped_oom")
+    (counter j "inline_solves");
   let failures =
     List.filter_map
       (fun label ->
