@@ -5,13 +5,14 @@
    total-order (QuBE(TO)-style) or partial-order (QuBE(PO)-style) mode,
    through the resilient run harness (Qbf_run): structured input
    errors, amortized wall-clock deadlines, SIGINT/SIGTERM-safe
-   interruption, an optional memory cap, and a budget-escalation
-   portfolio mode.
+   interruption and an optional memory cap.  Retrying with an escalating
+   budget is qubed's job (`qubed --workers 0` runs it in-process).
 
      qube FILE [--heuristic po|to] [--no-learning] [--no-pure]
-          [--prenex STRATEGY] [--miniscope] [--preprocess] [--max-nodes N]
-          [--timeout S] [--mem-limit MB] [--portfolio] [--json-status]
-          [--stats] [--trace FILE] [--trace-every N] [--profile]
+          [--restarts] [--prenex STRATEGY] [--miniscope] [--max-nodes N]
+          [--timeout S] [--mem-limit MB] [--json-status] [--stats]
+          [--trace FILE] [--trace-every N] [--profile] [--telemetry FILE]
+          [--proof FILE]
 
    Observability (Qbf_obs): --trace streams the engine's typed event
    stream (decisions, propagations, conflicts, solutions, learning,
@@ -93,19 +94,11 @@ let print_report_comments (r : Run.report) =
   | None -> ());
   Printf.printf "c %s\n" (Format.asprintf "%a" ST.pp_stats r.Run.stats)
 
-let run file heuristic no_learning no_pure restarts
-    db_reduce_interval db_keep no_phase_saving prenex_to
-    miniscope preprocess max_nodes timeout mem_limit use_portfolio json_status
-    stats trace_file trace_every profile_on telemetry_file proof_file =
-  if proof_file <> None && use_portfolio then begin
-    Printf.eprintf
-      "qube: --proof records a single run's derivation and cannot span \
-       portfolio attempts; drop one of the two flags\n";
-    exit 2
-  end;
-  (* Observability wiring: the trace (if any) is one JSONL stream shared
-     across the whole invocation, while metrics and profile are fresh
-     per attempt in portfolio mode so each rung reports its own. *)
+let run file heuristic no_learning no_pure restarts prenex_to miniscope
+    max_nodes timeout mem_limit json_status stats trace_file trace_every
+    profile_on telemetry_file proof_file =
+  (* Observability wiring: one collector for the whole invocation; it
+     times parse/prenex here and rides in the config for the search. *)
   let trace_oc = Option.map open_out trace_file in
   let trace =
     Option.map
@@ -138,14 +131,14 @@ let run file heuristic no_learning no_pure restarts
   (* --telemetry implies the phase profiler: the dump should carry both
      the metrics registry and the phase spans without needing --profile *)
   let collect_profile = profile_on || telemetry_file <> None in
-  let fresh_obs () =
-    Obs.make ~metrics:(Metrics.create ()) ?trace
-      ?profile:(if collect_profile then Some (Profile.create ()) else None)
-      ()
+  let obs =
+    if observing then
+      Some
+        (Obs.make ~metrics:(Metrics.create ()) ?trace
+           ?profile:(if collect_profile then Some (Profile.create ()) else None)
+           ())
+    else None
   in
-  (* The top-level collector times parse/prenex and, in single-solve
-     mode, the search itself. *)
-  let obs = if observing then Some (fresh_obs ()) else None in
   let prof_enter ph =
     match obs with
     | Some o when o.Obs.profile_on -> Profile.enter o.Obs.profile ph
@@ -160,9 +153,6 @@ let run file heuristic no_learning no_pure restarts
   let f = match Run.load file with Ok f -> f | Error e -> input_error e in
   prof_leave Profile.Parse;
   prof_enter Profile.Prenex;
-  let f =
-    if preprocess then Qbf_prenex.Preprocess.simplify_formula f else f
-  in
   let f = if miniscope then Qbf_prenex.Miniscope.minimize f else f in
   let f =
     match prenex_to with
@@ -184,15 +174,9 @@ let run file heuristic no_learning no_pure restarts
       |> with_pure_literals (not no_pure)
       |> with_restarts restarts
       |> with_db_reduction restarts
-      |> with_db_reduce_interval db_reduce_interval
-      |> with_db_keep_fraction db_keep
-      |> with_phase_saving (not no_phase_saving)
-      |> with_max_nodes max_nodes)
+      |> with_max_nodes max_nodes
+      |> with_obs obs)
   in
-  (* In single-solve mode the top-level collector rides in the config;
-     in portfolio mode it only times parse/prenex and each attempt gets
-     a fresh collector through the [observe] factory instead. *)
-  let config = if use_portfolio then config else ST.with_obs obs config in
   let limits =
     Limits.make ?timeout_s:timeout ?mem_mb:mem_limit ~poll_interval:64 ()
   in
@@ -201,38 +185,11 @@ let run file heuristic no_learning no_pure restarts
      of dying silently mid-solve. *)
   let interrupt = Limits.Interrupt.create () in
   let restore = Limits.Interrupt.install interrupt in
-  let report, attempts =
-    if use_portfolio then begin
-      let base =
-        match timeout with Some t -> Float.max (t /. 7.) 0.01 | None -> 0.5
-      in
-      let observe = if observing then Some (fun _label -> fresh_obs ()) else None in
-      let p =
-        Run.portfolio ~limits ~interrupt ?observe
-          (Run.escalating ~base ~config ())
-          f
-      in
-      match List.rev p.Run.attempts with
-      | [] ->
-          (* no attempt ran (interrupted before the first one) *)
-          ( {
-              Run.outcome = ST.Unknown;
-              time = p.Run.total_time;
-              stats = ST.empty_stats ();
-              witness = ST.No_witness;
-              stopped = Some (Run.Interrupted Limits.Interrupt.Manual);
-              metrics = None;
-              profile = None;
-            },
-            [] )
-      | (_, last) :: _ -> (last, p.Run.attempts)
-    end
-    else
-      ( (try Run.solve ~limits ~interrupt ~config ?proof_file f
-         with Sys_error msg ->
-           Printf.eprintf "qube: cannot write proof: %s\n" msg;
-           exit 2),
-        [] )
+  let report =
+    try Run.solve ~limits ~interrupt ~config ?proof_file f
+    with Sys_error msg ->
+      Printf.eprintf "qube: cannot write proof: %s\n" msg;
+      exit 2
   in
   restore ();
   (* drain any buffered trace events and close the stream *)
@@ -247,15 +204,6 @@ let run file heuristic no_learning no_pure restarts
         (* conclusive-but-uncertified (chronological conclusion) or
            inconclusive: tell the caller not to expect a checkable file *)
         Printf.printf "c proof incomplete\n");
-  List.iteri
-    (fun i (label, (r : Run.report)) ->
-      Printf.printf "c attempt %d %s outcome=%s time=%.3fs nodes=%d%s\n"
-        (i + 1) label (Outcome.to_string r.Run.outcome) r.Run.time
-        (ST.nodes r.Run.stats)
-        (match r.Run.stopped with
-        | Some s -> " stopped-by=" ^ Run.string_of_stop_reason s
-        | None -> ""))
-    attempts;
   (* Partial statistics are the whole point of a graceful stop: always
      print them when the run was cut short, even without --stats. *)
   if stats || report.Run.outcome = ST.Unknown then begin
@@ -268,30 +216,12 @@ let run file heuristic no_learning no_pure restarts
         (Qbf_core.Prefix.is_prenex (Qbf_core.Formula.prefix f))
   end;
   (if profile_on then
-     let print_table tag snap =
-       Printf.printf "c profile%s\n" tag;
-       String.split_on_char '\n' (Profile.render_table snap)
-       |> List.iter (fun l -> if l <> "" then Printf.printf "c   %s\n" l)
-     in
-     if use_portfolio then begin
-       (* parse/prenex spans live on the top-level collector; each
-          attempt carries its own engine profile *)
-       (match obs with
-       | Some o when o.Obs.profile_on ->
-           let snap = Profile.snapshot o.Obs.profile in
-           if snap <> [] then print_table "" snap
-       | _ -> ());
-       List.iter
-         (fun (label, (r : Run.report)) ->
-           match r.Run.profile with
-           | Some snap -> print_table (" attempt " ^ label) snap
-           | None -> ())
-         attempts
-     end
-     else
-       match report.Run.profile with
-       | Some snap -> print_table "" snap
-       | None -> ());
+     match report.Run.profile with
+     | Some snap ->
+         Printf.printf "c profile\n";
+         String.split_on_char '\n' (Profile.render_table snap)
+         |> List.iter (fun l -> if l <> "" then Printf.printf "c   %s\n" l)
+     | None -> ());
   (match trace with
   | Some t ->
       Printf.printf "c trace events offered=%d recorded=%d every=%d\n"
@@ -350,16 +280,6 @@ let run file heuristic no_learning no_pure restarts
           ("outcome", Json.String (Outcome.to_json_string report.Run.outcome));
           ("time", Json.Float report.Run.time);
           ("report", json_of_report report);
-          ( "attempts",
-            Json.List
-              (List.map
-                 (fun (label, r) ->
-                   Json.Obj
-                     [
-                       ("label", Json.String label);
-                       ("report", json_of_report r);
-                     ])
-                 attempts) );
         ]
     in
     print_endline (Json.to_string status)
@@ -388,26 +308,6 @@ let restarts_arg =
     & info [ "restarts" ]
         ~doc:"Enable Luby restarts and learned-database reduction.")
 
-let db_reduce_interval_arg =
-  Arg.(value
-    & opt int Qbf_solver.Solver_types.default_search.db_reduce_interval
-    & info [ "db-reduce-interval" ] ~docv:"N"
-        ~doc:"Leaves before the first learned-database reduction (the \
-              interval then grows geometrically).  Only meaningful with \
-              $(b,--restarts).")
-
-let db_keep_arg =
-  Arg.(value
-    & opt float Qbf_solver.Solver_types.default_search.db_keep_fraction
-    & info [ "db-keep" ] ~docv:"F"
-        ~doc:"Fraction of reduction candidates kept per cycle (0..1); \
-              locked and glue constraints are always kept.")
-
-let no_phase_saving_arg =
-  Arg.(value & flag
-    & info [ "no-phase-saving" ]
-        ~doc:"Branch on activity polarity instead of the saved phase.")
-
 let prenex_arg =
   Arg.(value & opt (some string) None
     & info [ "prenex" ] ~docv:"STRATEGY"
@@ -418,11 +318,6 @@ let miniscope_arg =
   Arg.(value & flag
     & info [ "miniscope" ]
         ~doc:"Minimise quantifier scopes first (prenex input only).")
-
-let preprocess_arg =
-  Arg.(value & flag
-    & info [ "preprocess" ]
-        ~doc:"Run unit/pure/subsumption preprocessing first.")
 
 let max_nodes_arg =
   Arg.(value & opt (some int) None
@@ -439,19 +334,12 @@ let mem_limit_arg =
               mebibytes; checked from a GC alarm, so it costs nothing \
               on the search path.")
 
-let portfolio_arg =
-  Arg.(value & flag
-    & info [ "portfolio" ]
-        ~doc:"Budget-escalation portfolio: PO with learning on a short \
-              budget, then TO with restarts at twice the budget, then \
-              PO with restarts for the remaining time.  Prints one \
-              $(b,c attempt) line per attempt.")
-
 let json_status_arg =
   Arg.(value & flag
     & info [ "json-status" ]
         ~doc:"Print a one-line JSON status record (outcome, time, \
-              statistics, per-attempt reports) after the result line.")
+              statistics, metrics and profile snapshots) after the \
+              result line.")
 
 let stats_arg =
   Arg.(value & flag & info [ "stats" ] ~doc:"Print search statistics.")
@@ -491,8 +379,7 @@ let proof_arg =
     & info [ "proof" ] ~docv:"FILE"
         ~doc:"Record a Q-resolution trace of the run to FILE, checkable \
               independently with $(b,qcheck_proof).  Forces pure-literal \
-              fixing off for the run; incompatible with \
-              $(b,--portfolio).")
+              fixing off for the run.")
 
 let cmd =
   let doc = "search-based QBF solver with non-prenex (quantifier tree) support" in
@@ -506,9 +393,8 @@ let cmd =
     Term.(
       const run $ file_arg $ heuristic_arg
       $ no_learning_arg $ no_pure_arg
-      $ restarts_arg $ db_reduce_interval_arg $ db_keep_arg
-      $ no_phase_saving_arg $ prenex_arg $ miniscope_arg $ preprocess_arg
-      $ max_nodes_arg $ timeout_arg $ mem_limit_arg $ portfolio_arg
+      $ restarts_arg $ prenex_arg $ miniscope_arg
+      $ max_nodes_arg $ timeout_arg $ mem_limit_arg
       $ json_status_arg $ stats_arg $ trace_arg $ trace_every_arg
       $ profile_arg $ telemetry_arg $ proof_arg)
 

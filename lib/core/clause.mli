@@ -45,7 +45,6 @@ val vars : t -> Lit.var list
     variable [pivot] (all occurrences of [pivot] are dropped). *)
 val resolve : t -> t -> Lit.var -> t
 
-val remove : Lit.t -> t -> t
 val remove_var : Lit.var -> t -> t
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -19,19 +19,16 @@ let max_act s v =
   let p = 2 * v in
   Float.max s.S.act.(p) s.S.act.(p + 1)
 
-(* Branch polarity: the saved phase when phase saving is on and the
-   variable has been assigned before (restarts then resume near the
-   assignment they abandoned — the learned constraints that survive the
-   restart keep pruning the same region), else the higher-activity
-   polarity. *)
+(* Branch polarity: the saved phase when the variable has been assigned
+   before (restarts then resume near the assignment they abandoned — the
+   learned constraints that survive the restart keep pruning the same
+   region), else the higher-activity polarity. *)
 let phase_literal s v =
   let p = 2 * v in
-  if s.S.config.search.phase_saving then
-    match s.S.saved_phase.(v) with
-    | 1 -> p
-    | 0 -> p + 1
-    | _ -> if s.S.act.(p) >= s.S.act.(p + 1) then p else p + 1
-  else if s.S.act.(p) >= s.S.act.(p + 1) then p else p + 1
+  match s.S.saved_phase.(v) with
+  | 1 -> p
+  | 0 -> p + 1
+  | _ -> if s.S.act.(p) >= s.S.act.(p + 1) then p else p + 1
 
 let pick_total_order s =
   let best = ref (-1) in

@@ -133,11 +133,6 @@ type search = {
          per decision — tests and fuzzing only *)
   restarts : bool; (* Luby-scheduled restarts (keep learned constraints) *)
   restart_base : int; (* leaves per Luby unit *)
-  phase_saving : bool;
-      (* remember each variable's last assigned polarity at unassign
-         time and branch on it again first (consulted by
-         Heuristic.phase_literal), so restarts resume near the part of
-         the search space they left *)
   db_reduction : bool;
       (* periodically drop the worst-scored unlocked learned
          constraints (high LBD, low activity) and compact the arena;
@@ -198,7 +193,6 @@ let default_search =
     debug_checks = false;
     restarts = false;
     restart_base = 128;
-    phase_saving = true;
     db_reduction = false;
     db_reduce_interval = 2048;
     db_keep_fraction = 0.5;
@@ -237,7 +231,6 @@ let with_debug_checks v = with_search (fun s -> { s with debug_checks = v })
 
 let with_restarts v = with_search (fun s -> { s with restarts = v })
 let with_restart_base v = with_search (fun s -> { s with restart_base = v })
-let with_phase_saving v = with_search (fun s -> { s with phase_saving = v })
 let with_db_reduction v = with_search (fun s -> { s with db_reduction = v })
 
 let with_db_reduce_interval v =

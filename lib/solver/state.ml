@@ -71,7 +71,7 @@ type t = {
   mutable saved_phase : int array;
       (* per var: polarity of the last assignment (0 false / 1 true), -1
          before the first; written at every unassign and consulted by
-         Heuristic.phase_literal when [config.search.phase_saving] *)
+         Heuristic.phase_literal *)
   trail : int Vec.t; (* assigned literals (true), oldest first *)
   trail_lim : int Vec.t; (* trail length at the start of each level *)
   dec_flipped : bool Vec.t; (* per level: second branch of a flip? *)

@@ -1,6 +1,7 @@
 (* Learned-DB lifecycle: arena compaction with relocation-map patching
    of watches, reasons and discovery queues; quality-based reduction
-   that never drops locked constraints; phase saving; and the
+   that never drops locked constraints; repeat determinism under
+   restarts; aggressive reduction on the example instances; and the
    reduction-on/off differential over the model families. *)
 
 open Qbf_core
@@ -171,9 +172,11 @@ let test_reduce_mid_search () =
   Alcotest.(check bool) "reduction actually dropped constraints" true
     (!dropped_total > 0)
 
-(* --- phase saving ------------------------------------------------------- *)
+(* --- repeat determinism ----------------------------------------------- *)
 
-let test_phase_saving_deterministic () =
+(* Restarts branch on saved phases and activities; none of that state
+   may leak between two solves of the same formula. *)
+let test_repeat_deterministic () =
   let rng = Qbf_gen.Rng.create 515 in
   for i = 0 to 14 do
     let f =
@@ -182,17 +185,13 @@ let test_phase_saving_deterministic () =
         ~nclauses:24 ~len:3 ~min_exists:1 ()
     in
     let value = Eval.eval f in
-    let run saving =
+    let run () =
       Qbf_solver.Engine.solve
-        ~config:
-          ST.(
-            default_config |> with_restarts true |> with_restart_base 2
-            |> with_phase_saving saving)
+        ~config:ST.(default_config |> with_restarts true |> with_restart_base 2)
         f
     in
-    let a = run true and b = run true and off = run false in
-    ("phase saving on " ^ string_of_int i => value) a.ST.outcome;
-    ("phase saving off " ^ string_of_int i => value) off.ST.outcome;
+    let a = run () and b = run () in
+    ("instance " ^ string_of_int i => value) a.ST.outcome;
     Alcotest.(check int)
       (Printf.sprintf "instance %d: same decisions on repeat" i)
       a.ST.stats.ST.decisions b.ST.stats.ST.decisions;
@@ -200,6 +199,54 @@ let test_phase_saving_deterministic () =
       (Printf.sprintf "instance %d: same conflicts on repeat" i)
       a.ST.stats.ST.conflicts b.ST.stats.ST.conflicts
   done
+
+(* --- aggressive reduction on the example instances --------------------- *)
+
+(* The committed example instances, except ncf_hard (the deliberately
+   slow one, for budget and signal tests).  The directory is found both
+   from the dune test sandbox (examples are a declared dependency) and
+   from the repository root, where `dune exec test/test_main.exe` runs. *)
+let example_instances () =
+  let dir =
+    List.find Sys.file_exists [ "../examples/instances"; "examples/instances" ]
+  in
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.filter (fun f ->
+         Filename.extension f <> ""
+         && not (String.starts_with ~prefix:"ncf_hard" f))
+  |> List.map (fun f -> (f, Filename.concat dir f))
+
+(* Every example (bar ncf_hard) decided with the default configuration
+   and with restarts plus a reduction every 16 leaves keeping a tenth of
+   the candidates: both conclusive, the same answer, and the reduction
+   really fires on ncf_d6v4. *)
+let test_reduction_agrees_on_examples () =
+  let aggressive =
+    ST.(
+      default_config |> with_restarts true |> with_db_reduction true
+      |> with_db_reduce_interval 16
+      |> with_db_keep_fraction 0.1)
+  in
+  let files = example_instances () in
+  Alcotest.(check bool) "ncf_d6v4 among the examples" true
+    (List.mem_assoc "ncf_d6v4.qdimacs" files);
+  List.iter
+    (fun (name, path) ->
+      let f = Qbf_run.Run.load_exn path in
+      let base = Engine.solve f in
+      let red = Engine.solve ~config:aggressive f in
+      Alcotest.(check bool)
+        (name ^ ": conclusive") true
+        (base.ST.outcome <> ST.Unknown);
+      Alcotest.check Util.outcome (name ^ ": same answer") base.ST.outcome
+        red.ST.outcome;
+      if name = "ncf_d6v4.qdimacs" then
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: constraints deleted (%d)" name
+             red.ST.stats.ST.deleted_constraints)
+          true
+          (red.ST.stats.ST.deleted_constraints > 0))
+    files
 
 (* --- reduction on/off over the model families --------------------------- *)
 
@@ -231,8 +278,10 @@ let suite =
   [
     Alcotest.test_case "arena compaction" `Quick test_arena_compact;
     Alcotest.test_case "reduce mid-search" `Quick test_reduce_mid_search;
-    Alcotest.test_case "phase saving deterministic" `Quick
-      test_phase_saving_deterministic;
+    Alcotest.test_case "repeat solves deterministic" `Quick
+      test_repeat_deterministic;
+    Alcotest.test_case "aggressive reduction on the examples" `Quick
+      test_reduction_agrees_on_examples;
     Alcotest.test_case "reduction on/off agree on families" `Quick
       test_reduction_agrees_on_families;
   ]

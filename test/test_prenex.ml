@@ -185,43 +185,6 @@ let test_miniscope_drops_single_scope () =
   Alcotest.(check int) "no clauses left" 0 (Formula.num_clauses g);
   Alcotest.(check bool) "value preserved" true (Eval.eval f = Eval.eval g)
 
-(* Preprocessing preserves the value and never grows the matrix. *)
-let prop_preprocess_contract input =
-  let f = make_tree_formula input in
-  let v = Eval.eval f in
-  match Qbf_prenex.Preprocess.simplify f with
-  | Qbf_prenex.Preprocess.True -> v = true
-  | Qbf_prenex.Preprocess.False -> v = false
-  | Qbf_prenex.Preprocess.Formula g ->
-      Eval.eval g = v && Formula.num_clauses g <= Formula.num_clauses f
-
-let test_preprocess_examples () =
-  (* Unit closure decides formula (1)'s prenex version?  No — but a
-     simple chain does: ∃x (x) ∧ (¬x ∨ y-free stuff)... use hand cases. *)
-  let p =
-    Prefix.of_blocks ~nvars:3
-      [ (Quant.Exists, [ 0; 2 ]); (Quant.Forall, [ 1 ]) ]
-  in
-  (* x0 unit; then (¬x0 ∨ x2) forces x2; then (¬x2 ∨ y1) reduces to
-     (¬x2), contradiction. *)
-  let f =
-    Formula.make p
-      [ Util.clause [ 1 ]; Util.clause [ -1; 3 ]; Util.clause [ -3; 2 ] ]
-  in
-  (match Qbf_prenex.Preprocess.simplify f with
-  | Qbf_prenex.Preprocess.False -> ()
-  | _ -> Alcotest.fail "expected False");
-  (* subsumption: {x} subsumes {x,y} *)
-  let p2 = Prefix.of_blocks ~nvars:2 [ (Quant.Exists, [ 0; 1 ]) ] in
-  let g =
-    Formula.make p2 [ Util.clause [ 1 ]; Util.clause [ 1; 2 ] ]
-  in
-  (match Qbf_prenex.Preprocess.simplify g with
-  | Qbf_prenex.Preprocess.True -> () (* units + pures decide it *)
-  | Qbf_prenex.Preprocess.Formula g' ->
-      Alcotest.(check bool) "shrunk" true (Formula.num_clauses g' <= 1)
-  | Qbf_prenex.Preprocess.False -> Alcotest.fail "not false")
-
 (* Applying a strategy twice changes nothing (prenex fixpoint). *)
 let prop_prenex_idempotent strategy input =
   let f = make_tree_formula input in
@@ -269,8 +232,5 @@ let suite =
       (prop_prenex_idempotent P.e_up_a_up);
     Util.qcheck_case ~count:150 "miniscope-prenex loop preserves value"
       gen_params prop_miniscope_prenex_loop;
-    Util.qcheck_case ~count:250 "preprocess contract" gen_params
-      prop_preprocess_contract;
-    Alcotest.test_case "preprocess examples" `Quick test_preprocess_examples;
   ]
   @ strategy_cases

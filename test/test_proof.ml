@@ -91,6 +91,32 @@ let test_families_accept () =
       ("counter2", Qbf_models.Families.counter ~bits:2);
     ]
 
+(* Every committed family at bounds 1 and 3 under restarts plus a
+   reduction every 16 leaves keeping a tenth of the candidates: each
+   answer is conclusive, agrees with the BFS oracle (phi_n is true iff
+   n < d) and certifies. *)
+let test_family_bounds_reduced () =
+  let config =
+    ST.(
+      default_config |> with_restarts true |> with_db_reduction true
+      |> with_db_reduce_interval 16
+      |> with_db_keep_fraction 0.1)
+  in
+  List.iter
+    (fun name ->
+      let m = Qbf_models.Families.by_name name in
+      let d = Qbf_models.Reach.diameter m in
+      List.iter
+        (fun n ->
+          ignore
+            (solve_and_check
+               (Printf.sprintf "%s phi_%d reduced" name n)
+               ~config
+               (Qbf_models.Diameter.phi m ~n)
+               (n < d)))
+        [ 1; 3 ])
+    [ "counter2"; "counter3"; "ring4"; "semaphore2"; "dme3"; "gray3"; "shift4" ]
+
 (* One writer across an incremental session: solve / push+grow / solve /
    pop / solve.  Each conclusive call appends its own conclusion; the
    checker (trust mode — no single input file describes the growing
@@ -411,6 +437,8 @@ let suite =
     Alcotest.test_case "fpv certificates" `Quick test_fpv_accept;
     Alcotest.test_case "family certificates, reduction on/off" `Slow
       test_families_accept;
+    Alcotest.test_case "family bounds certify under aggressive reduction"
+      `Quick test_family_bounds_reduced;
     Alcotest.test_case "incremental session certificate" `Quick
       test_incremental_accept;
     Alcotest.test_case "level-0 conclusions certify" `Quick

@@ -292,6 +292,51 @@ let test_supervisor_inline_fallback () =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Sys.rmdir dir
 
+let test_supervisor_budget_escalation () =
+  (* A small (4-variable) instance the expansion oracle can certify but
+     whose search needs several leaves under either raced configuration,
+     so a 1-node budget starves the first round; each retry round
+     doubles the budget until an attempt concludes. *)
+  let rng = Qbf_gen.Rng.create 4 in
+  let f =
+    Qbf_gen.Randqbf.prenex rng ~nvars:4 ~levels:3 ~nclauses:15 ~len:4
+      ~min_exists:1 ()
+  in
+  let expected = Util.solver_outcome_of_bool (Qbf_core.Eval.eval f) in
+  let policy =
+    {
+      Supervisor.default_policy with
+      Supervisor.workers = 0;
+      max_nodes = Some 1;
+      backoff_base_s = 0.001;
+      backoff_max_s = 0.01;
+    }
+  in
+  let reports, summary =
+    Supervisor.run ~policy (inline_jobs [ Qbf_io.Qdimacs.to_string f ])
+  in
+  let r = List.hd reports in
+  Alcotest.check Util.outcome "escalated answer matches the oracle" expected
+    r.Supervisor.r_outcome;
+  Alcotest.(check bool)
+    (Printf.sprintf "several attempts (%d)" r.Supervisor.r_attempts)
+    true
+    (r.Supervisor.r_attempts >= 2);
+  (* In-process attempts run one after another, so every attempt before
+     the settling one failed, the first included; the node budget is
+     the only limit set, and its stop maps to the "resource" class. *)
+  Alcotest.(check (list (pair string int)))
+    "earlier attempts stopped on the node budget"
+    [ ("resource", r.Supervisor.r_attempts - 1) ]
+    r.Supervisor.r_failures;
+  let escalations =
+    Option.value ~default:0
+      (List.assoc_opt "budget_escalations" summary.Supervisor.s_counters)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "budget escalated (%d)" escalations)
+    true (escalations >= 1)
+
 let test_supervisor_input_error () =
   let jobs =
     inline_jobs [ "p cnf garbage header"; false_qbf ]
@@ -359,6 +404,8 @@ let suite =
       test_supervisor_clean_batch;
     Alcotest.test_case "in-process fallback" `Quick
       test_supervisor_inline_fallback;
+    Alcotest.test_case "in-process budget escalation" `Quick
+      test_supervisor_budget_escalation;
     Alcotest.test_case "input error accounting" `Quick
       test_supervisor_input_error;
     Alcotest.test_case "fault injection keeps answers" `Quick
