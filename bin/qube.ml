@@ -250,28 +250,12 @@ let run file heuristic no_learning no_pure restarts prenex_to miniscope
                 ("report", json_of_report report);
               ])
         ^ "\n");
-      let buf = Buffer.create 1024 in
-      (match report.Run.metrics with
-      | Some m ->
-          Buffer.add_string buf
-            (Metrics.snapshot_to_prometheus ~prefix:"qube_engine_" m)
-      | None -> ());
-      (match report.Run.profile with
-      | Some p ->
-          List.iter
-            (fun sp ->
-              let labels = [ ("phase", sp.Profile.phase) ] in
-              let add name v =
-                Buffer.add_string buf
-                  (Printf.sprintf "# TYPE %s counter\n" name);
-                Metrics.prom_sample buf ~name ~labels v
-              in
-              add "qube_profile_calls_total" (float_of_int sp.Profile.calls);
-              add "qube_profile_wall_seconds_total" sp.Profile.wall_s;
-              add "qube_profile_cpu_seconds_total" sp.Profile.cpu_s)
-            p
-      | None -> ());
-      write (path ^ ".prom") (Buffer.contents buf));
+      write (path ^ ".prom")
+        (Option.fold ~none:""
+           ~some:(Metrics.snapshot_to_prometheus ~prefix:"qube_engine_")
+           report.Run.metrics
+        ^ Option.fold ~none:"" ~some:(Profile.to_prometheus ~prefix:"qube_")
+            report.Run.profile));
   if json_status then begin
     let status =
       Json.Obj
@@ -363,9 +347,11 @@ let trace_every_arg =
 let profile_arg =
   Arg.(value & flag
     & info [ "profile" ]
-        ~doc:"Time the parse, prenex, build, propagate, analyze and \
-              heuristic phases (wall and CPU) and print a profile \
-              table.")
+        ~doc:"Time the parse, prenex, build, propagate, backtrack, \
+              analyze, heuristic and solve phases (wall and CPU) and \
+              print a profile table.  Each row is the phase's own \
+              time, nested phases excluded, so the rows add up to the \
+              profiled run.")
 
 let telemetry_arg =
   Arg.(value & opt (some string) None

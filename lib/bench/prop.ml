@@ -1,8 +1,9 @@
 (* Propagation cost on the DIA workload: the BENCH_prop.json artifact.
 
    One record per model: the PO incremental phi_0..phi_d iteration runs
-   once with an observability collector capturing the propagation count
-   and the wall time spent inside the propagate and backtrack phases.
+   once with a phase profiler capturing the wall time spent inside the
+   propagate and backtrack phases; counts are summed over the bounds'
+   stats.
 
    Two throughput numbers per run:
 
@@ -21,7 +22,6 @@
 module ST = Qbf_solver.Solver_types
 module D = Qbf_models.Diameter
 module Obs = Qbf_obs.Obs
-module Metrics = Qbf_obs.Metrics
 module Profile = Qbf_obs.Profile
 module Json = Qbf_obs.Json
 module Limits = Qbf_run.Limits
@@ -43,9 +43,15 @@ let wall_props_per_sec r =
 let engine_props_per_sec r =
   float_of_int r.propagations /. Float.max 1e-6 (r.propagate_s +. r.backtrack_s)
 
+(* A stats field summed over the iteration: each bound's stats are that
+   bound's own work. *)
+let total (r : D.report) get =
+  List.fold_left (fun acc (b : D.bound_stat) -> acc + get b.D.stats) 0
+    r.D.per_bound
+
 let run ?(timeout_s = 60.) ?(max_n = 64) model =
   let deadline = Limits.Deadline.after timeout_s in
-  let obs = Obs.make ~metrics:(Metrics.create ()) ~profile:(Profile.create ()) () in
+  let obs = Obs.make ~profile:(Profile.create ()) () in
   let config =
     ST.(
       default_config
@@ -58,10 +64,6 @@ let run ?(timeout_s = 60.) ?(max_n = 64) model =
   let t0 = Unix.gettimeofday () in
   let report = D.compute_report ~config ~max_n ~mode:`Incremental model in
   let time_s = Unix.gettimeofday () -. t0 in
-  let m = Metrics.snapshot obs.Obs.metrics in
-  let counter name =
-    try List.assoc name m.Metrics.counters with Not_found -> 0
-  in
   let phase_wall name =
     List.fold_left
       (fun acc (sp : Profile.span_snapshot) ->
@@ -73,11 +75,11 @@ let run ?(timeout_s = 60.) ?(max_n = 64) model =
     model = Qbf_models.Model.name model;
     report;
     time_s;
-    propagations = counter "propagations";
+    propagations = total report (fun s -> s.ST.propagations);
     propagate_s = phase_wall "propagate";
     backtrack_s = phase_wall "backtrack";
-    decisions = counter "decisions";
-    learned = counter "learned_clauses" + counter "learned_cubes";
+    decisions = total report (fun s -> s.ST.decisions);
+    learned = total report (fun s -> s.ST.learned_clauses + s.ST.learned_cubes);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -108,7 +110,6 @@ let db_agree r =
 
 let run_db_engine ~timeout_s ~max_n ~reduce model =
   let deadline = Limits.Deadline.after timeout_s in
-  let obs = Obs.make ~metrics:(Metrics.create ()) () in
   let config =
     ST.(
       default_config
@@ -116,7 +117,6 @@ let run_db_engine ~timeout_s ~max_n ~reduce model =
       |> with_restarts true
       |> with_db_reduction reduce
       |> with_db_reduce_interval 1024
-      |> with_obs (Some obs)
       |> with_should_stop
            (Some (fun () -> Limits.Deadline.expired deadline))
       |> with_stop_interval 64)
@@ -124,16 +124,13 @@ let run_db_engine ~timeout_s ~max_n ~reduce model =
   let t0 = Unix.gettimeofday () in
   let db_report = D.compute_report ~config ~max_n ~mode:`Incremental model in
   let db_time_s = Unix.gettimeofday () -. t0 in
-  let m = Metrics.snapshot obs.Obs.metrics in
-  let counter name =
-    try List.assoc name m.Metrics.counters with Not_found -> 0
-  in
+  let total = total db_report in
   {
     db_report;
     db_time_s;
-    db_learned = counter "learned_clauses" + counter "learned_cubes";
-    db_deleted = counter "deleted_constraints";
-    db_decisions = counter "decisions";
+    db_learned = total (fun s -> s.ST.learned_clauses + s.ST.learned_cubes);
+    db_deleted = total (fun s -> s.ST.deleted_constraints);
+    db_decisions = total (fun s -> s.ST.decisions);
   }
 
 let run_db ?(timeout_s = 60.) ?(max_n = 64) model =

@@ -1,8 +1,13 @@
-(* Metrics registry: named counters, gauges and histograms with O(1)
-   hot-path updates.  The hot path works on a preallocated record of
-   mutable ints — no closures, no hashing, no allocation per event; the
-   *registry* view (stable names, snapshot, JSON) is only materialised
-   when a snapshot is taken.
+(* Metrics registry: the engine's distributions, plus a snapshot that
+   reads its counters from the engine's own stats record.
+
+   Counts are not kept here: the engine counts every search event once,
+   in its {!Stats.stats} record, and attaches that record when a solve
+   starts ({!attach}), so a snapshot's [counters] are exactly the
+   engine's, under the names of {!Stats.counters}.  This module keeps
+   what the record has no room for — log2 histograms and per-prefix-level
+   decision counts — on a preallocated record of mutable ints: no
+   closures, no hashing, no allocation per event.
 
    Histograms use log2 buckets: an observation [x >= 0] lands in bucket
    [bits x] (the position of its highest set bit, 0 for x = 0), so the
@@ -38,21 +43,7 @@ let hist_mean h =
   if h.h_count = 0 then 0. else float_of_int h.h_sum /. float_of_int h.h_count
 
 type t = {
-  (* counters (mirror the engine's stats record so a snapshot is
-     self-contained even without the stats struct at hand) *)
-  mutable decisions : int;
-  mutable propagations : int;
-  mutable pure_assignments : int;
-  mutable conflicts : int;
-  mutable solutions : int;
-  mutable learned_clauses : int;
-  mutable learned_cubes : int;
-  mutable backjumps : int;
-  mutable restarts : int;
-  mutable deleted_constraints : int;
-  (* gauges *)
-  mutable max_decision_level : int;
-  (* histograms *)
+  mutable stats : Stats.stats; (* the attached engine record *)
   backjump_length : hist; (* levels undone per learning backjump *)
   decision_level : hist; (* decision level at each branching step *)
   learned_clause_size : hist;
@@ -64,23 +55,16 @@ type t = {
 
 let create () =
   {
-    decisions = 0;
-    propagations = 0;
-    pure_assignments = 0;
-    conflicts = 0;
-    solutions = 0;
-    learned_clauses = 0;
-    learned_cubes = 0;
-    backjumps = 0;
-    restarts = 0;
-    deleted_constraints = 0;
-    max_decision_level = 0;
+    stats = Stats.empty_stats ();
     backjump_length = hist_create ();
     decision_level = hist_create ();
     learned_clause_size = hist_create ();
     learned_cube_size = hist_create ();
     per_level = Array.make 16 0;
   }
+
+(* Read counters from [stats] from now on (the engine's record). *)
+let attach m stats = m.stats <- stats
 
 (* ---------- hot-path updates ------------------------------------------- *)
 
@@ -94,31 +78,15 @@ let[@inline] ensure_level m lvl =
 (* [plevel] is the prefix level of the branching variable, [dlevel] the
    decision level being opened. *)
 let on_decision m ~plevel ~dlevel =
-  m.decisions <- m.decisions + 1;
-  if dlevel > m.max_decision_level then m.max_decision_level <- dlevel;
   hist_add m.decision_level dlevel;
   ensure_level m plevel;
   m.per_level.(plevel) <- m.per_level.(plevel) + 1
 
-let on_propagation m = m.propagations <- m.propagations + 1
-let on_pure m = m.pure_assignments <- m.pure_assignments + 1
-let on_conflict m = m.conflicts <- m.conflicts + 1
-let on_solution m = m.solutions <- m.solutions + 1
-
-let on_learn_clause m ~size =
-  m.learned_clauses <- m.learned_clauses + 1;
-  hist_add m.learned_clause_size size
-
-let on_learn_cube m ~size =
-  m.learned_cubes <- m.learned_cubes + 1;
-  hist_add m.learned_cube_size size
+let on_learn_clause m ~size = hist_add m.learned_clause_size size
+let on_learn_cube m ~size = hist_add m.learned_cube_size size
 
 let on_backjump m ~from_level ~to_level =
-  m.backjumps <- m.backjumps + 1;
   hist_add m.backjump_length (from_level - to_level)
-
-let on_restart m = m.restarts <- m.restarts + 1
-let on_delete m = m.deleted_constraints <- m.deleted_constraints + 1
 
 (* ---------- snapshot ---------------------------------------------------- *)
 
@@ -152,32 +120,16 @@ type snapshot = {
   per_level_decisions : int list; (* index = prefix level *)
 }
 
-let leaves m = m.conflicts + m.solutions
+let ratio num den = if den = 0 then 0. else float_of_int num /. float_of_int den
 
 let snapshot m =
-  let counters =
-    [
-      ("decisions", m.decisions);
-      ("propagations", m.propagations);
-      ("pure_assignments", m.pure_assignments);
-      ("conflicts", m.conflicts);
-      ("solutions", m.solutions);
-      ("learned_clauses", m.learned_clauses);
-      ("learned_cubes", m.learned_cubes);
-      ("backjumps", m.backjumps);
-      ("restarts", m.restarts);
-      ("deleted_constraints", m.deleted_constraints);
-    ]
-  in
+  let st = m.stats in
+  let counters = List.map (fun (k, get) -> (k, get st)) Stats.counters in
   let gauges =
     [
-      ("max_decision_level", float_of_int m.max_decision_level);
-      ( "propagations_per_conflict",
-        if m.conflicts = 0 then 0.
-        else float_of_int m.propagations /. float_of_int m.conflicts );
-      ( "decisions_per_leaf",
-        if leaves m = 0 then 0.
-        else float_of_int m.decisions /. float_of_int (leaves m) );
+      ("max_decision_level", float_of_int st.Stats.max_decision_level);
+      ("propagations_per_conflict", ratio st.propagations st.conflicts);
+      ("decisions_per_leaf", ratio st.decisions (Stats.nodes st));
     ]
   in
   let histograms =
@@ -244,7 +196,6 @@ let merge_assoc combine a b =
 let merge_snapshot (a : snapshot) (b : snapshot) =
   let counters = merge_assoc ( + ) a.counters b.counters in
   let c name = Option.value ~default:0 (List.assoc_opt name counters) in
-  let ratio num den = if den = 0 then 0. else float_of_int num /. float_of_int den in
   let gauges =
     merge_assoc Float.max a.gauges b.gauges
     |> List.map (fun (k, v) ->

@@ -1,8 +1,13 @@
-(* Phase profiler: wall/CPU timing spans around the solver's phases.
+(* Phase profiler: exclusive wall/CPU time per solver phase.
 
-   Spans are preallocated per-phase accumulators indexed by a small
-   enum, so [enter]/[leave] are two clock reads and a few stores — cheap
-   enough to wrap per-leaf engine calls when profiling is on, and never
+   The profiler keeps a stack of open phases.  [enter] and [leave] each
+   read both clocks once and charge the time since the previous read to
+   the phase on top of the stack, so a nested span (backtrack inside
+   analyze, propagate inside solve) takes its time out of its parent's
+   row: every row is self time, and the rows add up to the profiled
+   whole.  The stack is a parent link per phase (a phase never nests in
+   itself), so it is preallocated and bounded.  Spans are cheap enough
+   to wrap per-leaf engine calls when profiling is on, and never
    executed when it is off (the engine guards on the collector flag).
    Clocks are injectable for deterministic tests; the defaults are
    [Unix.gettimeofday] (wall) and [Sys.time] (CPU). *)
@@ -12,10 +17,10 @@ type phase =
   | Prenex (* prenexing / miniscoping / preprocessing *)
   | Build (* solver-state construction from the formula *)
   | Propagate (* the propagation loop *)
-  | Backtrack (* trail undo: unassign bookkeeping (nests in Analyze) *)
-  | Analyze (* conflict/solution analysis incl. backjumping *)
+  | Backtrack (* trail undo: unassign bookkeeping *)
+  | Analyze (* conflict/solution analysis, backjumps' trail undo aside *)
   | Heuristic (* branching-variable selection *)
-  | Solve (* the whole search call, outer span *)
+  | Solve (* the search call, outside the phases above *)
 
 let phase_to_string = function
   | Parse -> "parse"
@@ -48,8 +53,10 @@ type t = {
   wall_total : float array;
   cpu_total : float array;
   calls : int array;
-  start_wall : float array;
-  start_cpu : float array;
+  parent : int array; (* phase below each open phase, -1 at the bottom *)
+  mutable top : int; (* innermost open phase, -1 when none *)
+  mutable last_wall : float; (* clock reads at the last enter/leave *)
+  mutable last_cpu : float;
 }
 
 let create ?(clock = Unix.gettimeofday) ?(cpu = Sys.time) () =
@@ -59,20 +66,33 @@ let create ?(clock = Unix.gettimeofday) ?(cpu = Sys.time) () =
     wall_total = Array.make num_phases 0.;
     cpu_total = Array.make num_phases 0.;
     calls = Array.make num_phases 0;
-    start_wall = Array.make num_phases 0.;
-    start_cpu = Array.make num_phases 0.;
+    parent = Array.make num_phases (-1);
+    top = -1;
+    last_wall = 0.;
+    last_cpu = 0.;
   }
 
+(* Charge the time since the last read to the open phase on top. *)
+let[@inline] charge t =
+  let w = t.clock () and c = t.cpu () in
+  if t.top >= 0 then begin
+    t.wall_total.(t.top) <- t.wall_total.(t.top) +. (w -. t.last_wall);
+    t.cpu_total.(t.top) <- t.cpu_total.(t.top) +. (c -. t.last_cpu)
+  end;
+  t.last_wall <- w;
+  t.last_cpu <- c
+
 let enter t ph =
+  charge t;
   let i = phase_index ph in
-  t.start_wall.(i) <- t.clock ();
-  t.start_cpu.(i) <- t.cpu ()
+  t.parent.(i) <- t.top;
+  t.top <- i
 
 let leave t ph =
+  charge t;
   let i = phase_index ph in
-  t.wall_total.(i) <- t.wall_total.(i) +. (t.clock () -. t.start_wall.(i));
-  t.cpu_total.(i) <- t.cpu_total.(i) +. (t.cpu () -. t.start_cpu.(i));
-  t.calls.(i) <- t.calls.(i) + 1
+  t.calls.(i) <- t.calls.(i) + 1;
+  t.top <- t.parent.(i)
 
 (* Convenience span for cold paths (allocates a closure; do not use on
    the search hot path — guard and call [enter]/[leave] inline there). *)
@@ -100,35 +120,13 @@ let snapshot (t : t) =
           })
     all_phases
 
-(* The engine's propagate/analyze/heuristic spans nest inside [Solve];
-   [other] is the solve time not covered by any inner span. *)
+(* Rows are self times, so wall% is each row's share of their sum. *)
 let render_table (s : snapshot) =
   let buf = Buffer.create 256 in
   Buffer.add_string buf
     (Printf.sprintf "%-10s %10s %12s %12s %7s\n" "phase" "calls" "wall(s)"
        "cpu(s)" "wall%");
-  (* backtrack nests inside analyze, so it is excluded from the
-     top-level partition AND from the inner sum (else the [other] row
-     would double-count it against solve) *)
-  let inner = [ "propagate"; "analyze"; "heuristic" ] in
-  let nested = "backtrack" :: inner in
-  let solve_wall =
-    List.fold_left
-      (fun acc sp -> if sp.phase = "solve" then sp.wall_s else acc)
-      0. s
-  in
-  let inner_wall =
-    List.fold_left
-      (fun acc sp -> if List.mem sp.phase inner then acc +. sp.wall_s else acc)
-      0. s
-  in
-  (* top-level phases partition the run; inner spans nest inside solve *)
-  let total =
-    List.fold_left
-      (fun acc sp ->
-        if List.mem sp.phase nested then acc else acc +. sp.wall_s)
-      0. s
-  in
+  let total = List.fold_left (fun acc sp -> acc +. sp.wall_s) 0. s in
   List.iter
     (fun sp ->
       let pct = if total > 0. then 100. *. sp.wall_s /. total else 0. in
@@ -136,14 +134,20 @@ let render_table (s : snapshot) =
         (Printf.sprintf "%-10s %10d %12.6f %12.6f %6.1f%%\n" sp.phase sp.calls
            sp.wall_s sp.cpu_s pct))
     s;
-  if solve_wall > 0. && inner_wall > 0. then
-    Buffer.add_string buf
-      (Printf.sprintf "%-10s %10s %12.6f %12s %6.1f%%\n" "other" ""
-         (Float.max 0. (solve_wall -. inner_wall))
-         ""
-         (if total > 0. then
-            100. *. Float.max 0. (solve_wall -. inner_wall) /. total
-          else 0.));
+  Buffer.contents buf
+
+(* The profile as Prometheus text: three counter families
+   ([<prefix>profile_calls_total], [..._wall_seconds_total],
+   [..._cpu_seconds_total]), one sample per phase, labelled [phase]. *)
+let to_prometheus ~prefix (s : snapshot) =
+  let buf = Buffer.create 512 in
+  let family name value =
+    Metrics.prom_family buf ~name:(prefix ^ name) ~typ:"counter"
+      (List.map (fun sp -> ([ ("phase", sp.phase) ], value sp)) s)
+  in
+  family "profile_calls_total" (fun sp -> float_of_int sp.calls);
+  family "profile_wall_seconds_total" (fun sp -> sp.wall_s);
+  family "profile_cpu_seconds_total" (fun sp -> sp.cpu_s);
   Buffer.contents buf
 
 let snapshot_to_json (s : snapshot) =

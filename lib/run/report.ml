@@ -90,22 +90,12 @@ let make ~interrupt ~deadline ~config ~time ~nodes (r : ST.result) =
   }
 
 (* The complete stats record as JSON, for [qube --json-status] and the
-   bench records.  Every key is always present, in a fixed order, so the
-   shape is identical on conclusive, timeout, interrupt and memory-cap
-   exits alike — consumers can rely on the full key set. *)
+   bench records: every counter under its {!Qbf_obs.Stats.counters}
+   name (the names a metrics snapshot uses), then the
+   [max_decision_level] high-water mark.  Every key is always present,
+   in a fixed order, so the shape is identical on conclusive, timeout,
+   interrupt and memory-cap exits alike. *)
 let json_of_stats (s : ST.stats) =
   Json.Obj
-    [
-      ("decisions", Json.Int s.ST.decisions);
-      ("propagations", Json.Int s.ST.propagations);
-      ("pure_assignments", Json.Int s.ST.pure_assignments);
-      ("conflicts", Json.Int s.ST.conflicts);
-      ("solutions", Json.Int s.ST.solutions);
-      ("learned_clauses", Json.Int s.ST.learned_clauses);
-      ("learned_cubes", Json.Int s.ST.learned_cubes);
-      ("backjumps", Json.Int s.ST.backjumps);
-      ("chrono_fallbacks", Json.Int s.ST.chrono_fallbacks);
-      ("max_decision_level", Json.Int s.ST.max_decision_level);
-      ("restarts_done", Json.Int s.ST.restarts_done);
-      ("deleted_constraints", Json.Int s.ST.deleted_constraints);
-    ]
+    (List.map (fun (k, get) -> (k, Json.Int (get s))) ST.counters
+    @ [ ("max_decision_level", Json.Int s.ST.max_decision_level) ])

@@ -221,7 +221,7 @@ let json_of_heartbeat ~id ~attempt ~nodes =
    than misread it). *)
 
 let stats_schema = "qubed-worker-stats"
-let stats_version = 1
+let stats_version = 2
 
 type stats = {
   st_id : int;

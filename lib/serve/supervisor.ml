@@ -14,7 +14,7 @@
      truncated stream / heartbeat silence past the hang deadline;
    - transient failures are {e retried} with jittered exponential
      backoff, and budget-shaped failures (timeout, node budget) retry
-     with an escalated budget, up to a retry cap;
+     at once with an escalated budget, up to a retry cap;
    - each attempt round {e races} the policy's portfolio configurations
      across free workers; the first conclusive answer wins and the
      losers are cancelled (SIGTERM, then SIGKILL after a grace period),
@@ -86,8 +86,8 @@ let default_policy =
 
 (* The retry shape: round [n] waits [backoff_base_s * backoff_factor^(n-1)]
    (capped at [backoff_max_s]) stretched by up to [jitter] of itself at
-   random, and a round after a budget-shaped failure multiplies the
-   budget by [escalate]. *)
+   random; a round after a budget-shaped failure starts at once and
+   multiplies the budget by [escalate] instead. *)
 let backoff_factor = 2.0
 let jitter = 0.5
 let escalate = 2.0
@@ -429,8 +429,9 @@ let give_up t j =
   finish t j { (base_report j) with r_stopped = stopped; r_error = error }
 
 (* An attempt of [j] failed with [cls].  Either the round still has
-   racers out, or we schedule a retry round (with backoff, and budget
-   escalation if the failure was budget-shaped), or we give up. *)
+   racers out, or we schedule a retry round (with an escalated budget
+   and no wait if a failure was budget-shaped, else after a backoff), or
+   we give up. *)
 let attempt_failed t j cls =
   if j.state <> Done then begin
     record_failure j cls;
@@ -446,19 +447,24 @@ let attempt_failed t j cls =
           else begin
             j.round <- j.round + 1;
             Counters.incr t.counters "retries";
-            if j.round_escalates then begin
-              j.budget_mult <- j.budget_mult *. escalate;
-              Counters.incr t.counters "budget_escalations"
-            end;
-            j.round_escalates <- false;
             let p = t.policy in
-            let base =
-              p.backoff_base_s *. (backoff_factor ** float_of_int (j.round - 1))
-            in
-            let base = Float.min base p.backoff_max_s in
+            (* a budget stop is deterministic: the escalated round needs
+               no cool-down, only the bigger budget *)
             let delay =
-              base *. (1. +. (jitter *. Random.State.float t.rng 1.0))
+              if j.round_escalates then begin
+                j.budget_mult <- j.budget_mult *. escalate;
+                Counters.incr t.counters "budget_escalations";
+                0.
+              end
+              else
+                let base =
+                  p.backoff_base_s
+                  *. (backoff_factor ** float_of_int (j.round - 1))
+                in
+                Float.min base p.backoff_max_s
+                *. (1. +. (jitter *. Random.State.float t.rng 1.0))
             in
+            j.round_escalates <- false;
             j.queue <- p.race;
             j.state <- Backoff (now () +. delay);
             trace t Trace.Serve_retry ~dlevel:0 ~plevel:j.round

@@ -38,7 +38,7 @@ module Profile = Qbf_obs.Profile
 module Counters = Qbf_obs.Counters
 
 let schema = "qubed-telemetry"
-let schema_version = 2
+let schema_version = 3
 
 (* ------------------------------------------------------------------ *)
 (* Aggregator state                                                    *)
@@ -184,20 +184,9 @@ let to_prometheus ?(now = Unix.gettimeofday ()) t =
   | None -> ()
   | Some m ->
       Buffer.add_string buf (Metrics.snapshot_to_prometheus ~prefix:"qubed_engine_" m));
-  (match merged_profile t with
-  | None -> ()
-  | Some p ->
-      List.iter
-        (fun sp ->
-          let l = [ ("phase", sp.Profile.phase) ] in
-          let add name v typ =
-            Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name typ);
-            Metrics.prom_sample buf ~name ~labels:l v
-          in
-          add "qubed_profile_calls_total" (float_of_int sp.Profile.calls) "counter";
-          add "qubed_profile_wall_seconds_total" sp.Profile.wall_s "counter";
-          add "qubed_profile_cpu_seconds_total" sp.Profile.cpu_s "counter")
-        p);
+  Option.iter
+    (fun p -> Buffer.add_string buf (Profile.to_prometheus ~prefix:"qubed_" p))
+    (merged_profile t);
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)

@@ -143,7 +143,7 @@ let run_attempt ?interrupt ~emit ~stats (d : Protocol.dispatch) =
   in
   let live_nodes () =
     match obs with
-    | Some o -> Qbf_obs.Metrics.leaves o.Qbf_obs.Obs.metrics
+    | Some o -> ST.nodes o.Qbf_obs.Obs.metrics.Qbf_obs.Metrics.stats
     | None -> 0
   in
   let send_stats ~final =

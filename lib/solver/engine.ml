@@ -109,10 +109,8 @@ let reduce_db s =
           let c = compare (Db.activity db a) (Db.activity db b) in
           if c <> 0 then c else compare a b)
       arr;
-    let o = s.S.obs in
     for i = 0 to drop - 1 do
-      S.deactivate_constraint s arr.(i);
-      if o.Obs.metrics_on then Metrics.on_delete o.Obs.metrics
+      S.deactivate_constraint s arr.(i)
     done;
     ignore (S.compact_db s)
   end
@@ -122,6 +120,8 @@ let rescale_period = 256
 
 let solve_state s =
   let o = s.S.obs in
+  (* the collector's counters are this state's own stats record *)
+  if o.Obs.metrics_on then Metrics.attach o.Obs.metrics s.S.stats;
   let restart_idx = ref 1 in
   let leaves_at_restart = ref 0 in
   let maybe_restart () =
@@ -135,7 +135,6 @@ let solve_state s =
       incr restart_idx;
       leaves_at_restart := leaves s;
       s.S.stats.restarts_done <- s.S.stats.restarts_done + 1;
-      if o.Obs.metrics_on then Metrics.on_restart o.Obs.metrics;
       if o.Obs.trace_on then
         Trace.emit o.Obs.trace Trace.Restart ~dlevel:0 ~plevel:0
           ~arg:s.S.stats.restarts_done
@@ -179,7 +178,6 @@ let solve_state s =
     | Propagate.P_conflict cid -> on_conflict cid
     | Propagate.P_solution src ->
         s.S.stats.solutions <- s.S.stats.solutions + 1;
-        if o.Obs.metrics_on then Metrics.on_solution o.Obs.metrics;
         if o.Obs.trace_on then
           Trace.emit o.Obs.trace Trace.Solution
             ~dlevel:(S.current_level s) ~plevel:0
@@ -222,7 +220,6 @@ let solve_state s =
     else Analyze.handle_solution s src
   and on_conflict cid =
     s.S.stats.conflicts <- s.S.stats.conflicts + 1;
-    if o.Obs.metrics_on then Metrics.on_conflict o.Obs.metrics;
     if o.Obs.trace_on then
       Trace.emit o.Obs.trace Trace.Conflict ~dlevel:(S.current_level s)
         ~plevel:0 ~arg:cid;

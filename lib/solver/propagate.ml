@@ -9,7 +9,6 @@ open Solver_types
 module S = State
 module Db = Constraint_db
 module Obs = Qbf_obs.Obs
-module Metrics = Qbf_obs.Metrics
 module Trace = Qbf_obs.Trace
 
 type source = Cover | Cube of int
@@ -18,14 +17,12 @@ type source = Cover | Cube of int
    true. *)
 let note_propagation s l =
   let o = s.S.obs in
-  if o.Obs.metrics_on then Metrics.on_propagation o.Obs.metrics;
   if o.Obs.trace_on then
     Trace.emit o.Obs.trace Trace.Propagation ~dlevel:(S.current_level s)
       ~plevel:s.S.plevel.(S.var l) ~arg:l
 
 let note_pure s l =
   let o = s.S.obs in
-  if o.Obs.metrics_on then Metrics.on_pure o.Obs.metrics;
   if o.Obs.trace_on then
     Trace.emit o.Obs.trace Trace.Pure ~dlevel:(S.current_level s)
       ~plevel:s.S.plevel.(S.var l) ~arg:l

@@ -20,76 +20,9 @@ type outcome =
   | False
   | Unknown (* budget exhausted *)
 
-type stats = {
-  mutable decisions : int;
-  mutable propagations : int; (* unit assignments, clauses + cubes *)
-  mutable pure_assignments : int;
-  mutable conflicts : int; (* falsified-clause leaves *)
-  mutable solutions : int; (* satisfied-matrix / true-cube leaves *)
-  mutable learned_clauses : int;
-  mutable learned_cubes : int;
-  mutable backjumps : int; (* learning-driven non-chronological jumps *)
-  mutable chrono_fallbacks : int; (* analyses abandoned for a plain flip *)
-  mutable max_decision_level : int;
-  mutable restarts_done : int;
-  mutable deleted_constraints : int;
-}
-
-let empty_stats () =
-  {
-    decisions = 0;
-    propagations = 0;
-    pure_assignments = 0;
-    conflicts = 0;
-    solutions = 0;
-    learned_clauses = 0;
-    learned_cubes = 0;
-    backjumps = 0;
-    chrono_fallbacks = 0;
-    max_decision_level = 0;
-    restarts_done = 0;
-    deleted_constraints = 0;
-  }
-
-(* Leaves visited: the size measure used by the benchmark harness. *)
-let nodes stats = stats.conflicts + stats.solutions
-
-let copy_stats s =
-  {
-    decisions = s.decisions;
-    propagations = s.propagations;
-    pure_assignments = s.pure_assignments;
-    conflicts = s.conflicts;
-    solutions = s.solutions;
-    learned_clauses = s.learned_clauses;
-    learned_cubes = s.learned_cubes;
-    backjumps = s.backjumps;
-    chrono_fallbacks = s.chrono_fallbacks;
-    max_decision_level = s.max_decision_level;
-    restarts_done = s.restarts_done;
-    deleted_constraints = s.deleted_constraints;
-  }
-
-(* [diff_stats ~before after] is the per-call delta of two cumulative
-   snapshots (incremental sessions report deltas; see Session.solve).
-   [max_decision_level] is a high-water mark, not a counter, and is
-   passed through unchanged. *)
-let diff_stats ~before after =
-  {
-    decisions = after.decisions - before.decisions;
-    propagations = after.propagations - before.propagations;
-    pure_assignments = after.pure_assignments - before.pure_assignments;
-    conflicts = after.conflicts - before.conflicts;
-    solutions = after.solutions - before.solutions;
-    learned_clauses = after.learned_clauses - before.learned_clauses;
-    learned_cubes = after.learned_cubes - before.learned_cubes;
-    backjumps = after.backjumps - before.backjumps;
-    chrono_fallbacks = after.chrono_fallbacks - before.chrono_fallbacks;
-    max_decision_level = after.max_decision_level;
-    restarts_done = after.restarts_done - before.restarts_done;
-    deleted_constraints =
-      after.deleted_constraints - before.deleted_constraints;
-  }
+(* The search counters: the record, its copy/delta helpers and the name
+   table live in lib/obs so every report reads one record. *)
+include Qbf_obs.Stats
 
 type event =
   | E_decide of int (* literal assigned as a branch *)

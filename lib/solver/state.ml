@@ -820,7 +820,6 @@ let deactivate_constraint s cid =
     drop_from_counters s cid;
     s.stats.deleted_constraints <- s.stats.deleted_constraints + 1;
     let o = s.obs in
-    if o.Obs.metrics_on then Metrics.on_delete o.Obs.metrics;
     if o.Obs.trace_on then
       Trace.emit o.Obs.trace Trace.Delete ~dlevel:(current_level s)
         ~plevel:0 ~arg:cid

@@ -203,13 +203,9 @@ let test_repeat_deterministic () =
 (* --- aggressive reduction on the example instances --------------------- *)
 
 (* The committed example instances, except ncf_hard (the deliberately
-   slow one, for budget and signal tests).  The directory is found both
-   from the dune test sandbox (examples are a declared dependency) and
-   from the repository root, where `dune exec test/test_main.exe` runs. *)
+   slow one, for budget and signal tests). *)
 let example_instances () =
-  let dir =
-    List.find Sys.file_exists [ "../examples/instances"; "examples/instances" ]
-  in
+  let dir = Util.examples_dir () in
   Sys.readdir dir |> Array.to_list |> List.sort compare
   |> List.filter (fun f ->
          Filename.extension f <> ""

@@ -1,7 +1,8 @@
 (* Observability-layer tests (Qbf_obs): metrics invariants against real
    solver runs, ring wraparound and sampling determinism with injected
-   clocks, JSONL round-trips, and the exact event-count/stats contract
-   the trace emitter promises. *)
+   clocks, JSONL round-trips, exclusive phase times that add up to the
+   profiled span, and the exact event-count/stats contract the trace
+   emitter promises. *)
 
 module ST = Qbf_solver.Solver_types
 module Obs = Qbf_obs.Obs
@@ -158,6 +159,48 @@ let test_profile_clocks () =
       Alcotest.(check (float 1e-9)) "cpu" 0.5 sp.Profile.cpu_s
   | s -> Alcotest.failf "expected one span, got %d" (List.length s)
 
+(* ncf_d6v4 with restarts and a reduction every 16 leaves keeping a
+   tenth: nested phases (backtracks inside analyses and restarts) and
+   constraint deletions. *)
+let ncf_d6v4 () =
+  Qbf_run.Run.load_exn (Filename.concat (Util.examples_dir ()) "ncf_d6v4.qdimacs")
+
+let aggressive c =
+  ST.(
+    c |> with_restarts true |> with_db_reduction true
+    |> with_db_reduce_interval 16
+    |> with_db_keep_fraction 0.1)
+
+let test_profile_sums_to_span () =
+  (* every clock read advances the wall clock by 0.5 s, so the solve's
+     first-to-last span is 0.5 s per read after the first; the state is
+     built outside the profiler so the Solve span is the whole run *)
+  let reads = ref 0 in
+  let clock =
+    let next = fake_clock () in
+    fun () ->
+      incr reads;
+      next ()
+  in
+  let profile = Profile.create ~clock ~cpu:(fake_clock ~step:0.25 ()) () in
+  let obs = Obs.make ~profile () in
+  let config = ST.(aggressive default_config |> with_obs (Some obs)) in
+  let s = Qbf_solver.State.create (ncf_d6v4 ()) config in
+  ignore (Qbf_solver.Engine.solve_state s);
+  let rows = Profile.snapshot profile in
+  let sum f = List.fold_left (fun acc sp -> acc +. f sp) 0. rows in
+  Alcotest.(check (list string)) "phases"
+    [ "propagate"; "backtrack"; "analyze"; "heuristic"; "solve" ]
+    (List.map (fun sp -> sp.Profile.phase) rows);
+  let calls = List.fold_left (fun acc sp -> acc + sp.Profile.calls) 0 rows in
+  Alcotest.(check int) "two clock reads per span" (2 * calls) !reads;
+  Alcotest.(check (float 0.)) "wall rows add up to the span"
+    (0.5 *. float_of_int (!reads - 1))
+    (sum (fun sp -> sp.Profile.wall_s));
+  Alcotest.(check (float 0.)) "cpu rows add up to the span"
+    (0.25 *. float_of_int (!reads - 1))
+    (sum (fun sp -> sp.Profile.cpu_s))
+
 (* ------------------------------------------------------------------ *)
 (* Solver-run contracts                                                *)
 
@@ -168,17 +211,30 @@ let formulas () =
       Qbf_gen.Randqbf.prenex rng ~nvars:16 ~levels:3 ~nclauses:48 ~len:3 ())
     [ 11; 22; 33; 44 ]
 
-let observed_solve ?(restarts = false) f =
+let observed_solve ?(restarts = false) ?(tune = Fun.id) f =
   let metrics = Metrics.create () in
   let trace = Trace.create ~capacity:(1 lsl 16) () in
   let obs = Obs.make ~metrics ~trace () in
   let config =
     ST.(
       default_config |> with_learning true |> with_restarts restarts
-      |> with_db_reduction restarts |> with_obs (Some obs))
+      |> with_db_reduction restarts |> tune |> with_obs (Some obs))
   in
   let r = Qbf_solver.Engine.solve ~config f in
   (r.ST.stats, Metrics.snapshot metrics, Trace.to_list trace)
+
+(* The snapshot's counters are the engine's stats, under the stats
+   names, one per name in the table; the high-water mark is a gauge. *)
+let check_counters_are_stats (stats : ST.stats) s =
+  Alcotest.(check (list string)) "counter names"
+    (List.map fst ST.counters)
+    (List.map fst s.Metrics.counters);
+  List.iter
+    (fun (name, get) -> Alcotest.(check int) name (get stats) (counter s name))
+    ST.counters;
+  Alcotest.(check (float 0.)) "max_decision_level gauge"
+    (float_of_int stats.ST.max_decision_level)
+    (List.assoc "max_decision_level" s.Metrics.gauges)
 
 let test_metrics_invariants () =
   List.iter
@@ -190,23 +246,14 @@ let test_metrics_invariants () =
       Alcotest.(check int) "conflicts + solutions = leaves"
         (ST.nodes stats)
         (c "conflicts" + c "solutions");
-      (* the registry mirrors the engine's own stats exactly *)
-      Alcotest.(check int) "decisions" stats.ST.decisions (c "decisions");
-      Alcotest.(check int) "propagations" stats.ST.propagations
-        (c "propagations");
-      Alcotest.(check int) "pures" stats.ST.pure_assignments
-        (c "pure_assignments");
-      Alcotest.(check int) "conflicts" stats.ST.conflicts (c "conflicts");
-      Alcotest.(check int) "solutions" stats.ST.solutions (c "solutions");
-      Alcotest.(check int) "learned clauses" stats.ST.learned_clauses
-        (c "learned_clauses");
-      Alcotest.(check int) "learned cubes" stats.ST.learned_cubes
-        (c "learned_cubes");
-      Alcotest.(check int) "backjumps" stats.ST.backjumps (c "backjumps");
-      Alcotest.(check int) "restarts" stats.ST.restarts_done (c "restarts");
-      Alcotest.(check int) "deletes" stats.ST.deleted_constraints
-        (c "deleted_constraints"))
-    (formulas ())
+      check_counters_are_stats stats s)
+    (formulas ());
+  (* restarts and reduction: each deletion is counted once *)
+  let stats, s, _ = observed_solve ~tune:aggressive (ncf_d6v4 ()) in
+  check_counters_are_stats stats s;
+  Alcotest.(check int) "ncf_d6v4 deletions" 28 stats.ST.deleted_constraints;
+  Alcotest.(check int) "ncf_d6v4 deleted_constraints counter" 28
+    (counter s "deleted_constraints")
 
 let test_trace_matches_stats () =
   List.iter
@@ -266,6 +313,8 @@ let suite =
     Alcotest.test_case "parse_line rejects" `Quick test_parse_line_rejects;
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "profile clocks" `Quick test_profile_clocks;
+    Alcotest.test_case "profile rows sum to the span" `Quick
+      test_profile_sums_to_span;
     Alcotest.test_case "metrics invariants" `Quick test_metrics_invariants;
     Alcotest.test_case "trace matches stats" `Quick test_trace_matches_stats;
     Alcotest.test_case "disabled obs inert" `Quick test_disabled_obs_is_inert;

@@ -292,16 +292,21 @@ let test_supervisor_inline_fallback () =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Sys.rmdir dir
 
-let test_supervisor_budget_escalation () =
-  (* A small (4-variable) instance the expansion oracle can certify but
-     whose search needs several leaves under either raced configuration,
-     so a 1-node budget starves the first round; each retry round
-     doubles the budget until an attempt concludes. *)
+(* A small (4-variable) instance the expansion oracle can certify but
+   whose search needs several leaves under either raced configuration,
+   so a 1-node budget starves the first rounds; each retry round doubles
+   the budget until an attempt concludes (after two escalations). *)
+let escalation_formula () =
   let rng = Qbf_gen.Rng.create 4 in
-  let f =
-    Qbf_gen.Randqbf.prenex rng ~nvars:4 ~levels:3 ~nclauses:15 ~len:4
-      ~min_exists:1 ()
-  in
+  Qbf_gen.Randqbf.prenex rng ~nvars:4 ~levels:3 ~nclauses:15 ~len:4
+    ~min_exists:1 ()
+
+let escalations summary =
+  Option.value ~default:0
+    (List.assoc_opt "budget_escalations" summary.Supervisor.s_counters)
+
+let test_supervisor_budget_escalation () =
+  let f = escalation_formula () in
   let expected = Util.solver_outcome_of_bool (Qbf_core.Eval.eval f) in
   let policy =
     {
@@ -329,13 +334,39 @@ let test_supervisor_budget_escalation () =
     "earlier attempts stopped on the node budget"
     [ ("resource", r.Supervisor.r_attempts - 1) ]
     r.Supervisor.r_failures;
-  let escalations =
-    Option.value ~default:0
-      (List.assoc_opt "budget_escalations" summary.Supervisor.s_counters)
-  in
+  let escalations = escalations summary in
   Alcotest.(check bool)
     (Printf.sprintf "budget escalated (%d)" escalations)
     true (escalations >= 1)
+
+(* A node-budget stop is deterministic, so an escalated round starts at
+   once: with a 2 s backoff, waiting before each of two escalated rounds
+   would take at least 4 s. *)
+let test_escalation_skips_backoff () =
+  let f = escalation_formula () in
+  let policy =
+    {
+      Supervisor.default_policy with
+      Supervisor.workers = 0;
+      max_nodes = Some 1;
+      backoff_base_s = 2.0;
+      backoff_max_s = 2.0;
+    }
+  in
+  let t0 = Unix.gettimeofday () in
+  let reports, summary =
+    Supervisor.run ~policy (inline_jobs [ Qbf_io.Qdimacs.to_string f ])
+  in
+  let wall = Unix.gettimeofday () -. t0 in
+  Alcotest.check Util.outcome "escalated answer matches the oracle"
+    (Util.solver_outcome_of_bool (Qbf_core.Eval.eval f))
+    (List.hd reports).Supervisor.r_outcome;
+  Alcotest.(check bool)
+    (Printf.sprintf "two escalations or more (%d)" (escalations summary))
+    true
+    (escalations summary >= 2);
+  Alcotest.(check bool) (Printf.sprintf "no backoff wait (%.2f s)" wall) true
+    (wall < 1.0)
 
 let test_supervisor_input_error () =
   let jobs =
@@ -406,6 +437,8 @@ let suite =
       test_supervisor_inline_fallback;
     Alcotest.test_case "in-process budget escalation" `Quick
       test_supervisor_budget_escalation;
+    Alcotest.test_case "escalation skips the backoff" `Quick
+      test_escalation_skips_backoff;
     Alcotest.test_case "input error accounting" `Quick
       test_supervisor_input_error;
     Alcotest.test_case "fault injection keeps answers" `Quick

@@ -27,23 +27,33 @@ let ledger () =
 (* ------------------------------------------------------------------ *)
 (* Snapshot construction *)
 
-(* A deterministic pseudo-random engine snapshot: drive a real metrics
-   registry the way the engine would, so merge tests cover the actual
-   counter/gauge/histogram/per-level shapes. *)
+(* A deterministic pseudo-random engine snapshot: drive a stats record
+   and a metrics registry attached to it the way the engine would, so
+   merge tests cover the actual counter/gauge/histogram/per-level
+   shapes. *)
 let random_snapshot seed =
   let rng = Random.State.make [| seed |] in
   let m = Metrics.create () in
+  let st = ST.empty_stats () in
+  Metrics.attach m st;
   for _ = 1 to 50 + Random.State.int rng 100 do
     let plevel = Random.State.int rng 6 in
-    Metrics.on_decision m ~plevel ~dlevel:(Random.State.int rng 40);
-    if Random.State.int rng 3 = 0 then Metrics.on_propagation m;
+    let dlevel = Random.State.int rng 40 in
+    st.ST.decisions <- st.ST.decisions + 1;
+    st.ST.max_decision_level <- max st.ST.max_decision_level dlevel;
+    Metrics.on_decision m ~plevel ~dlevel;
+    if Random.State.int rng 3 = 0 then
+      st.ST.propagations <- st.ST.propagations + 1;
     if Random.State.int rng 5 = 0 then begin
-      Metrics.on_conflict m;
+      st.ST.conflicts <- st.ST.conflicts + 1;
+      st.ST.backjumps <- st.ST.backjumps + 1;
       let from_level = 2 + Random.State.int rng 20 in
       Metrics.on_backjump m ~from_level ~to_level:(Random.State.int rng from_level)
     end;
-    if Random.State.int rng 7 = 0 then
+    if Random.State.int rng 7 = 0 then begin
+      st.ST.learned_clauses <- st.ST.learned_clauses + 1;
       Metrics.on_learn_clause m ~size:(1 + Random.State.int rng 12)
+    end
   done;
   Metrics.snapshot m
 
@@ -142,6 +152,20 @@ let test_prometheus_grammar () =
   (match Metrics.prom_check_text text with
   | Ok () -> ()
   | Error m -> Alcotest.failf "engine exposition fails grammar: %s" m);
+  (* the profile families qube --telemetry and qubed both write *)
+  let profile =
+    [ { Profile.phase = "analyze"; calls = 3; wall_s = 0.25; cpu_s = 0.25 };
+      { Profile.phase = "solve"; calls = 1; wall_s = 0.5; cpu_s = 0.5 } ]
+  in
+  let text = Profile.to_prometheus ~prefix:"qube_" profile in
+  (match Metrics.prom_check_text text with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "profile exposition fails grammar: %s" m);
+  Alcotest.(check int) "one # TYPE line per profile family" 3
+    (List.length
+       (List.filter
+          (String.starts_with ~prefix:"# TYPE")
+          (String.split_on_char '\n' text)));
   (* the aggregator's full exposition too, including label escaping *)
   let t = Telemetry.create () in
   let c = ledger () in

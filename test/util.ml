@@ -2,6 +2,12 @@
 
 open Qbf_core
 
+(* The committed example instances.  The directory is found both from
+   the dune test sandbox (examples are a declared dependency) and from
+   the repository root, where `dune exec test/test_main.exe` runs. *)
+let examples_dir () =
+  List.find Sys.file_exists [ "../examples/instances"; "examples/instances" ]
+
 let clause ints = Clause.of_dimacs_list ints
 
 (* Formula (1) of the paper: x0=1, y1=2, x1=3, x2=4, y2=5, x3=6, x4=7

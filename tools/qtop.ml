@@ -9,7 +9,7 @@
    histograms, failure mix, cache rate, worker lifecycle, and a digest
    of the merged engine metrics.  --watch S re-reads and re-renders
    every S seconds until interrupted — `top` for the solving service.
-   --check validates instead of rendering: schema v2, lifecycle
+   --check validates instead of rendering: schema v3, lifecycle
    reconciliation (spawns = reaped_clean + reaped_crash + reaped_signal
    + reaped_oom), job reconciliation (jobs_submitted = jobs_decided +
    jobs_unknown + jobs_errored), latency histogram consistency, and —
@@ -118,8 +118,9 @@ let render j =
           in
           Printf.printf
             "engine    %d decisions, %d propagations, %d conflicts, %d \
-             solutions (all workers)\n"
-            (c "decisions") (c "propagations") (c "conflicts") (c "solutions");
+             solutions, %d chrono fallbacks (all workers)\n"
+            (c "decisions") (c "propagations") (c "conflicts") (c "solutions")
+            (c "chrono_fallbacks");
           List.iter
             (fun (name, h) ->
               if h.Metrics.count > 0 then
